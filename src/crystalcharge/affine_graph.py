@@ -21,21 +21,27 @@ edges whose labels are the first m coroots in the order
 are reversed; stage infinity reverses every edge of that shape.  Labels
 with sign +1 or with finite part inside the a_1..a_{n-1} subsystem are
 never reversed.
+
+All stages share the interval's vertices and edges, so
+`interval_graph(lam', rank)` builds them once, each edge with the
+reversal index of its label, and `.at(m)` gives the stage-m graph as a
+view that flips the edges with index <= m.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import permutations
 from typing import Union
 
 from .root_data import (
     Root,
     Weight,
     bruhat_leq_dominant,
+    dominant_interval,
     in_parabolic,
     is_dominant,
-    length,
     length_along,
     pairing,
     positive_roots,
@@ -98,12 +104,40 @@ class TwistedGraph:
         return self.indegree[mu]
 
 
+@dataclass(frozen=True)
+class IntervalGraph:
+    """I(base) with its stage-0 edges; every stage graph is a view of it.
+
+    Each edge (src, dst, label, index) is oriented as at stage 0 and
+    carries the reversal index of its label, or None when the edge is
+    never reversed.  The largest index is the stabilization stage.
+    """
+
+    base: Weight
+    vertices: tuple[Weight, ...]
+    edges: tuple[tuple[Weight, Weight, AffineCoroot, int | None], ...]
+    stabilization_stage: int
+
+    def at(self, stage: Stage) -> TwistedGraph:
+        """The stage graph: edges with reversal index <= stage point the other way."""
+        if stage != STAGE_INFINITY and (type(stage) is not int or stage < 0):
+            raise ValueError(f"stage must be a nonnegative integer or infinity, got {stage!r}")
+        indegree = dict.fromkeys(self.vertices, 0)
+        edges = []
+        for src, dst, label, index in self.edges:
+            if index is not None and index <= stage:
+                src, dst = dst, src
+            edges.append((src, dst, label))
+            indegree[dst] += 1
+        return TwistedGraph(self.base, stage, self.vertices, tuple(edges), indegree)
+
+
 def build_interval(lambda_prime: Weight, rank: int) -> tuple[Weight, ...]:
     """All weights below lambda_prime, in lexicographic order.
 
-    Enumerates integer vectors with the same coordinate sum and entries
-    in [0, max part]; for nonnegative dominant weights this bounding box
-    is exact.
+    A weight lies below lambda_prime exactly when its dominant
+    representative does, so the interval is the set of distinct
+    permutations of the dominant weights below lambda_prime.
     """
     lam = tuple(lambda_prime)
     if len(lam) != rank + 1:
@@ -112,41 +146,16 @@ def build_interval(lambda_prime: Weight, rank: int) -> tuple[Weight, ...]:
         raise ValueError(f"{lam} is not dominant")
     if lam and lam[-1] < 0:
         raise ValueError(f"{lam} has negative coordinates")
-    total = sum(lam)
-    top = lam[0] if lam else 0
-
-    out: list[Weight] = []
-
-    def extend(prefix: list[int], remaining: int) -> None:
-        slots = rank + 1 - len(prefix)
-        if slots == 0:
-            if remaining == 0:
-                candidate = tuple(prefix)
-                if bruhat_leq_dominant(candidate, lam):
-                    out.append(candidate)
-            return
-        lo = max(0, remaining - top * (slots - 1))
-        hi = min(top, remaining)
-        for value in range(lo, hi + 1):
-            prefix.append(value)
-            extend(prefix, remaining - value)
-            prefix.pop()
-
-    extend([], total)
-    return tuple(out)
+    return tuple(sorted({w for mu in dominant_interval(lam, rank) for w in permutations(mu)}))
 
 
-def build_graph(lambda_prime: Weight, stage: Stage, rank: int | None = None) -> TwistedGraph:
-    """The twisted Bruhat graph on I(lambda_prime) at the given stage."""
+def interval_graph(lambda_prime: Weight, rank: int | None = None) -> IntervalGraph:
+    """I(lambda_prime) with every root-line edge, oriented as at stage 0."""
     lam = tuple(lambda_prime)
     n = rank if rank is not None else len(lam) - 1
-    if stage != STAGE_INFINITY and (not isinstance(stage, int) or stage < 0):
-        raise ValueError(f"stage must be a nonnegative integer or infinity, got {stage}")
     vertices = build_interval(lam, n)
     vertex_set = set(vertices)
-    edges: list[tuple[Weight, Weight, AffineCoroot]] = []
-    indegree = {mu: 0 for mu in vertices}
-
+    edges = []
     for mu in vertices:
         for beta in positive_roots(n):
             vec = root_vector(beta, n)
@@ -162,19 +171,15 @@ def build_graph(lambda_prime: Weight, stage: Stage, rank: int | None = None) -> 
                 else:
                     src, dst = mu, nu
                     label = AffineCoroot(k - p, beta, -1)
-                idx = label.reversal_index(n)
-                if idx is not None and idx <= stage:
-                    src, dst = dst, src
-                edges.append((src, dst, label))
-                indegree[dst] += 1
+                edges.append((src, dst, label, label.reversal_index(n)))
                 k += 1
+    top = max((index for *_, index in edges if index is not None), default=0)
+    return IntervalGraph(lam, vertices, tuple(edges), top)
 
-    return TwistedGraph(lam, stage, vertices, tuple(edges), indegree)
 
-
-def arr(mu: Weight, graph: TwistedGraph) -> int:
-    """In-degree of mu in the graph."""
-    return graph.arr(mu)
+def build_graph(lambda_prime: Weight, stage: Stage, rank: int | None = None) -> TwistedGraph:
+    """The twisted Bruhat graph on I(lambda_prime) at the given stage."""
+    return interval_graph(lambda_prime, rank).at(stage)
 
 
 def stage_reflection(m_plus_1: int, rank: int) -> AffineCoroot:
@@ -234,20 +239,7 @@ def arr_infinity_formula(mu: Weight, lambda_prime: Weight) -> int:
 def stabilization_stage(lambda_prime: Weight, rank: int | None = None) -> int:
     """Smallest M with the stage-M graph equal to the stage-infinity graph.
 
-    Computed as the largest reversal index over the edge labels of the
-    untwisted graph (0 when no edge is reversible).
+    This is the largest reversal index over the edge labels of the
+    interval (0 when no edge is reversible).
     """
-    graph = build_graph(lambda_prime, 0, rank)
-    n = rank if rank is not None else len(tuple(lambda_prime)) - 1
-    best = 0
-    for _, _, label in graph.edges:
-        idx = label.reversal_index(n)
-        if idx is not None and idx > best:
-            best = idx
-    return best
-
-
-def untwisted_length_check(lambda_prime: Weight) -> bool:
-    """Whether stage-0 in-degrees equal Bruhat lengths (pins conventions)."""
-    graph = build_graph(lambda_prime, 0)
-    return all(graph.arr(mu) == length(mu) for mu in graph.vertices)
+    return interval_graph(lambda_prime, rank).stabilization_stage

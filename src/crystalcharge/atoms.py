@@ -65,7 +65,8 @@ class Atom:
 
     def to_json_dict(self) -> dict:
         z_doubled = 2 * self.z
-        assert z_doubled.denominator == 1
+        if z_doubled.denominator != 1:
+            raise ArithmeticError(f"atomic number {self.z} is not a half-integer")
         return {
             "highest_weight": list(self.highest_weight),
             "size": self.size,

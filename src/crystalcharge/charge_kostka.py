@@ -204,30 +204,23 @@ class RechargeTable:
     values: dict[int, Fraction]
 
 
-def _atom_graph(
-    highest: Weight,
-    stage: Stage,
-    rank: int,
-    graphs: Optional[dict[tuple[Weight, Stage], TwistedGraph]],
-) -> TwistedGraph:
-    if graphs is None:
-        return build_graph(highest, stage, rank)
-    key = (highest, stage)
-    if key not in graphs:
-        graphs[key] = build_graph(highest, stage, rank)
-    return graphs[key]
-
-
 def recharge(
     crystal: Crystal,
     decomposition: AtomDecomposition,
     x: int,
     stage: Stage,
-    graphs: Optional[dict[tuple[Weight, Stage], TwistedGraph]] = None,
+    graph: Optional[TwistedGraph] = None,
 ) -> Fraction:
-    """Z(x) minus the in-degree of wt(x) in the stage graph of x's atom."""
-    atom = decomposition.atom_of(x)
-    graph = _atom_graph(atom.highest_weight, stage, crystal.rank, graphs)
+    """Z(x) minus the in-degree of wt(x) in the stage graph of x's atom.
+
+    graph, when given, must be that graph: the stage view over the
+    highest weight of x's atom.
+    """
+    highest = decomposition.atom_of(x).highest_weight
+    if graph is None:
+        graph = build_graph(highest, stage, crystal.rank)
+    elif (graph.base, graph.stage, type(graph.stage)) != (highest, stage, type(stage)):
+        raise ValueError(f"graph at stage {graph.stage} over {graph.base} is not x's stage-{stage} graph")
     return atomic_number(crystal, x) - graph.arr(crystal.weight(x))
 
 
@@ -235,14 +228,15 @@ def recharge_table(
     crystal: Crystal,
     decomposition: AtomDecomposition,
     stage: Stage,
-    graphs: Optional[dict[tuple[Weight, Stage], TwistedGraph]] = None,
 ) -> RechargeTable:
-    """Recharge values for all elements, sharing graphs across atoms."""
-    if graphs is None:
-        graphs = {}
+    """Recharge values for all elements, one stage graph per atom highest weight."""
+    views: dict[Weight, TwistedGraph] = {}
     values = {}
     for x in range(crystal.size):
-        values[x] = recharge(crystal, decomposition, x, stage, graphs)
+        highest = decomposition.atom_of(x).highest_weight
+        if highest not in views:
+            views[highest] = build_graph(highest, stage, crystal.rank)
+        values[x] = recharge(crystal, decomposition, x, stage, views[highest])
     return RechargeTable(stage, values)
 
 
@@ -453,7 +447,8 @@ def hecke_atomic_expansion(
     coeffs: dict[Weight, HalfLaurentPolynomial] = {}
     for atom in dec.atoms:
         exponent = atom.z - rho_pairing(atom.highest_weight)
-        assert exponent.denominator == 1 and exponent >= 0
+        if exponent.denominator != 1 or exponent < 0:
+            raise ArithmeticError(f"atom exponent {exponent} is not a nonnegative integer")
         term = HalfLaurentPolynomial.monomial(2 * int(exponent))
         previous = coeffs.get(atom.highest_weight, HalfLaurentPolynomial.zero())
         coeffs[atom.highest_weight] = previous + term
@@ -471,6 +466,7 @@ def kostka_from_hecke(expansion: HeckeExpansion, nu: Weight) -> HalfLaurentPolyn
     for mu, coefficient in expansion.coeffs.items():
         if bruhat_leq_dominant(nu, mu):
             height = rho_pairing(mu) - rho_pairing(nu)
-            assert height.denominator == 1
+            if height.denominator != 1:
+                raise ArithmeticError(f"height {height} from {nu} to {mu} is not an integer")
             total += coefficient * HalfLaurentPolynomial.monomial(2 * int(height))
     return total

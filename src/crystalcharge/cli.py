@@ -35,12 +35,8 @@ from .charge_kostka import (
     recharge_table,
 )
 from .crystal import DEFAULT_MAX_ELEMENTS, Crystal, normalize_shape
-from .root_data import is_dominant
+from .root_data import format_weight, is_dominant
 from .verify import SUITES, run_verify
-
-
-def _fmt(mu) -> str:
-    return ",".join(str(v) for v in mu)
 
 
 def _parse_csv(text: str) -> tuple[int, ...]:
@@ -109,11 +105,11 @@ def _cmd_crystal(args) -> tuple[str, int]:
     if args.format == "json":
         return _dumps(crystal.to_json_dict()), 0
     lines = [
-        f"# crystal rank={crystal.rank} shape={_fmt(crystal.shape)} elements={crystal.size}"
+        f"# crystal rank={crystal.rank} shape={format_weight(crystal.shape)} elements={crystal.size}"
     ]
     for x, rows in enumerate(crystal.elements):
         rows_text = json.dumps([list(row) for row in rows], separators=(",", ":"))
-        lines.append(f"{x}\t{rows_text}\t{_fmt(crystal.weights[x])}")
+        lines.append(f"{x}\t{rows_text}\t{format_weight(crystal.weights[x])}")
     return "\n".join(lines) + "\n", 0
 
 
@@ -130,7 +126,7 @@ def _cmd_atoms(args) -> tuple[str, int]:
     lines = []
     for atom in dec.atoms:
         lines.append(
-            f"highest_weight={_fmt(atom.highest_weight)} size={atom.size} z={atom.z}"
+            f"highest_weight={format_weight(atom.highest_weight)} size={atom.size} z={atom.z}"
         )
     return "\n".join(lines) + "\n", 0
 
@@ -153,16 +149,16 @@ def _cmd_graph(args) -> tuple[str, int]:
         }
         return _dumps(payload), 0
     if args.format == "dot":
-        lines = [f'digraph "{_fmt(lam)} stage {_stage_json(stage)}" {{']
+        lines = [f'digraph "{format_weight(lam)} stage {_stage_json(stage)}" {{']
         for mu in graph.vertices:
-            lines.append(f'  "{_fmt(mu)}";')
+            lines.append(f'  "{format_weight(mu)}";')
         for src, dst, label in graph.edges:
-            lines.append(f'  "{_fmt(src)}" -> "{_fmt(dst)}" [label="{label.render()}"];')
+            lines.append(f'  "{format_weight(src)}" -> "{format_weight(dst)}" [label="{label.render()}"];')
         lines.append("}")
         return "\n".join(lines) + "\n", 0
-    lines = [f"# graph base={_fmt(lam)} stage={_stage_json(stage)} vertices={len(graph.vertices)}"]
+    lines = [f"# graph base={format_weight(lam)} stage={_stage_json(stage)} vertices={len(graph.vertices)}"]
     for src, dst, label in graph.edges:
-        lines.append(f"{_fmt(src)} -> {_fmt(dst)}\t{label.render()}")
+        lines.append(f"{format_weight(src)} -> {format_weight(dst)}\t{label.render()}")
     return "\n".join(lines) + "\n", 0
 
 
@@ -175,7 +171,8 @@ def _cmd_recharge(args) -> tuple[str, int]:
         doubled = {}
         for x in range(crystal.size):
             value = 2 * table.values[x]
-            assert value.denominator == 1
+            if value.denominator != 1:
+                raise ArithmeticError(f"recharge of element {x} is not a half-integer")
             doubled[str(x)] = int(value)
         payload = {
             "rank": crystal.rank,
@@ -184,9 +181,9 @@ def _cmd_recharge(args) -> tuple[str, int]:
             "recharge_doubled": doubled,
         }
         return _dumps(payload), 0
-    lines = [f"# recharge shape={_fmt(crystal.shape)} stage={_stage_json(stage)}"]
+    lines = [f"# recharge shape={format_weight(crystal.shape)} stage={_stage_json(stage)}"]
     for x in range(crystal.size):
-        lines.append(f"{x}\t{_fmt(crystal.weights[x])}\t{table.values[x]}")
+        lines.append(f"{x}\t{format_weight(crystal.weights[x])}\t{table.values[x]}")
     return "\n".join(lines) + "\n", 0
 
 
@@ -205,7 +202,7 @@ def _cmd_hecke(args) -> tuple[str, int]:
         return _dumps(payload), 0
     lines = []
     for mu, poly in expansion.coeffs.items():
-        lines.append(f"mu={_fmt(mu)}\ta={poly.text('v')}")
+        lines.append(f"mu={format_weight(mu)}\ta={poly.text('v')}")
     return "\n".join(lines) + "\n", 0
 
 

@@ -35,12 +35,17 @@ from .root_data import (
 )
 
 TableauRows = tuple[tuple[int, ...], ...]
+OperatorTable = tuple[tuple[Optional[int], ...], ...]
 
 DEFAULT_MAX_ELEMENTS = 2_000_000
 
 
 class CrystalSizeError(ValueError):
     """Raised when a requested crystal exceeds the element-count cap."""
+
+
+class CrystalStructureError(ValueError):
+    """Raised when tableaux or operator tables break the tableau model."""
 
 
 class StringStats(NamedTuple):
@@ -79,7 +84,8 @@ def weyl_dimension(shape: tuple[int, ...], rank: int) -> int:
     for i in range(size):
         for j in range(i + 1, size):
             dim *= Fraction(lam[i] - lam[j] + j - i, j - i)
-    assert dim.denominator == 1
+    if dim.denominator != 1:
+        raise CrystalStructureError(f"Weyl dimension {dim} of shape {lam} is not an integer")
     return int(dim)
 
 
@@ -193,8 +199,8 @@ class Crystal:
         rank: int,
         shape: Weight,
         elements: tuple[TableauRows, ...],
-        f_table: tuple[tuple[Optional[int], ...], ...],
-        e_table: tuple[tuple[Optional[int], ...], ...],
+        f_table: OperatorTable,
+        e_table: OperatorTable,
     ):
         self.rank = rank
         self.shape = shape
@@ -224,32 +230,11 @@ class Crystal:
                 f"exceeding the cap of {max_elements}"
             )
         elements = tuple(semistandard_tableaux(lam, rank + 1))
-        assert len(elements) == dim
+        if len(elements) != dim:
+            raise CrystalStructureError(f"{len(elements)} tableaux of shape {lam}, expected {dim}")
         index = {rows: x for x, rows in enumerate(elements)}
-
-        f_table = []
-        e_table = []
-        for i in range(1, rank + 1):
-            f_row: list[Optional[int]] = []
-            e_row: list[Optional[int]] = []
-            for rows in elements:
-                lo, hi = _unmatched_positions(rows, i)
-                if lo:
-                    image = _replace(rows, lo[-1], i + 1)
-                    assert is_semistandard(image, rank + 1)
-                    f_row.append(index[image])
-                else:
-                    f_row.append(None)
-                if hi:
-                    image = _replace(rows, hi[0], i)
-                    assert is_semistandard(image, rank + 1)
-                    e_row.append(index[image])
-                else:
-                    e_row.append(None)
-            f_table.append(tuple(f_row))
-            e_table.append(tuple(e_row))
-
-        return cls(rank, lam, elements, tuple(f_table), tuple(e_table))
+        f_table, e_table = _operator_tables(elements, index, rank)
+        return cls(rank, lam, elements, f_table, e_table)
 
     def _finish_tables(self) -> None:
         n, size = self.rank, len(self.elements)
@@ -298,9 +283,11 @@ class Crystal:
         self._by_weight = {mu: tuple(xs) for mu, xs in by_weight.items()}
 
         tops = self._by_weight.get(self.shape, ())
-        assert len(tops) == 1, "crystal must have a unique highest-weight element"
+        if len(tops) != 1:
+            raise CrystalStructureError(f"{len(tops)} elements of highest weight, expected one")
         self.highest = tops[0]
-        assert all(self._e[i][self.highest] is None for i in range(n))
+        if any(self._e[i][self.highest] is not None for i in range(n)):
+            raise CrystalStructureError("the highest-weight element is not killed by every e_i")
 
     # -- simple operators ----------------------------------------------
 
@@ -415,42 +402,72 @@ class Crystal:
                 {"id": x, "rows": [list(row) for row in rows], "weight": list(self.weights[x])}
                 for x, rows in enumerate(self.elements)
             ],
-            "edges": [
-                {"i": i, "from": x, "to": self._f[i - 1][x]}
-                for i in range(1, self.rank + 1)
-                for x in range(self.size)
-                if self._f[i - 1][x] is not None
-            ],
+            "edges": _edge_records(self._f),
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Crystal":
         """Rebuild a crystal from :meth:`to_json_dict` output.
 
-        Contents are revalidated so that a corrupted dump fails loudly.
+        Contents are revalidated so that a corrupted dump fails loudly:
+        every element must be a distinct semistandard tableau of the
+        shape, and the stored edges must be those the signature rule
+        gives on the stored elements.
         """
         rank = data["rank"]
         shape = normalize_shape(tuple(data["shape"]), rank)
+        row_lengths = tuple(p for p in shape if p > 0)
         records = sorted(data["elements"], key=lambda rec: rec["id"])
         if [rec["id"] for rec in records] != list(range(len(records))):
             raise ValueError("element ids must be 0..size-1")
         elements = tuple(tuple(tuple(row) for row in rec["rows"]) for rec in records)
         for rec, rows in zip(records, elements):
+            if tuple(len(row) for row in rows) != row_lengths:
+                raise ValueError(f"element {rec['id']} does not have shape {shape}")
             if not is_semistandard(rows, rank + 1):
                 raise ValueError(f"element {rec['id']} is not semistandard")
             if tuple(rec["weight"]) != content(rows, rank):
                 raise ValueError(f"element {rec['id']} has inconsistent weight")
-        size = len(elements)
-        f_table = [[None] * size for _ in range(rank)]
-        e_table = [[None] * size for _ in range(rank)]
-        for edge in data["edges"]:
-            i, x, y = edge["i"], edge["from"], edge["to"]
-            f_table[i - 1][x] = y
-            e_table[i - 1][y] = x
-        return cls(
-            rank,
-            shape,
-            elements,
-            tuple(tuple(row) for row in f_table),
-            tuple(tuple(row) for row in e_table),
-        )
+        index = {rows: x for x, rows in enumerate(elements)}
+        if len(index) != len(elements):
+            raise ValueError("elements repeat")
+        f_table, e_table = _operator_tables(elements, index, rank)
+        if data["edges"] != _edge_records(f_table):
+            raise ValueError("stored edges differ from the operators on the stored elements")
+        return cls(rank, shape, elements, f_table, e_table)
+
+
+def _operator_tables(
+    elements: tuple[TableauRows, ...], index: dict[TableauRows, int], rank: int
+) -> tuple[OperatorTable, OperatorTable]:
+    """The f_i and e_i tables by the signature rule; every image must be in index."""
+
+    def image_id(rows: TableauRows, pos: tuple[int, int], value: int) -> int:
+        image = _replace(rows, pos, value)
+        y = index.get(image)
+        if y is None:
+            raise CrystalStructureError(f"operator image {image} is missing from the element set")
+        return y
+
+    f_table = []
+    e_table = []
+    for i in range(1, rank + 1):
+        f_row: list[Optional[int]] = []
+        e_row: list[Optional[int]] = []
+        for rows in elements:
+            lo, hi = _unmatched_positions(rows, i)
+            f_row.append(image_id(rows, lo[-1], i + 1) if lo else None)
+            e_row.append(image_id(rows, hi[0], i) if hi else None)
+        f_table.append(tuple(f_row))
+        e_table.append(tuple(e_row))
+    return tuple(f_table), tuple(e_table)
+
+
+def _edge_records(f_table: OperatorTable) -> list[dict]:
+    """The f-edges as JSON records, by i and then source id."""
+    return [
+        {"i": i, "from": x, "to": y}
+        for i, row in enumerate(f_table, start=1)
+        for x, y in enumerate(row)
+        if y is not None
+    ]

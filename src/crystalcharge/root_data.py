@@ -22,6 +22,7 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterator, Optional
 
 Weight = tuple[int, ...]
 Root = tuple[int, int]
@@ -194,6 +195,34 @@ def bruhat_leq_dominant(mu: Weight, lam: Weight) -> bool:
         if partial > 0:
             return False
     return True
+
+
+def partitions(total: int, max_parts: int, bound: Optional[int] = None) -> Iterator[tuple[int, ...]]:
+    """Weakly decreasing positive tuples summing to total."""
+    if total == 0:
+        yield ()
+        return
+    if max_parts == 0:
+        return
+    top = min(total, bound if bound is not None else total)
+    for first in range(top, 0, -1):
+        for rest in partitions(total - first, max_parts - 1, first):
+            yield (first,) + rest
+
+
+def dominant_interval(lam: Weight, rank: int) -> tuple[Weight, ...]:
+    """Dominant weights below lam, largest first."""
+    result = []
+    for shape in partitions(sum(lam), rank + 1):
+        mu = shape + (0,) * (rank + 1 - len(shape))
+        if bruhat_leq_dominant(mu, lam):
+            result.append(mu)
+    return tuple(result)
+
+
+def format_weight(mu: Weight) -> str:
+    """Comma-separated coordinates, the form weights are entered in."""
+    return ",".join(str(v) for v in mu)
 
 
 def length_along(mu: Weight, beta: Root) -> int:

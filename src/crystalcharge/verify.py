@@ -24,15 +24,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import factorial
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .affine_graph import (
     STAGE_INFINITY,
+    AffineCoroot,
     TwistedGraph,
     apply_affine_reflection,
     arr_infinity_formula,
-    build_graph,
-    stabilization_stage,
+    interval_graph,
     stage_reflection,
 )
 from .atoms import bplus_components, decompose, validate_atom
@@ -52,12 +52,15 @@ from .root_data import (
     LineOrder,
     Weight,
     bruhat_leq_dominant,
+    dominant_interval,
+    format_weight,
     in_parabolic,
     is_dominant,
     length,
     length_along,
     line_compare,
     pairing,
+    partitions,
     positive_roots,
     root_vector,
 )
@@ -88,19 +91,6 @@ class VerifyReport:
         return 0 if not self.failures else 1
 
 
-def partitions(total: int, max_parts: int, bound: Optional[int] = None) -> Iterator[tuple[int, ...]]:
-    """Weakly decreasing positive tuples summing to total."""
-    if total == 0:
-        yield ()
-        return
-    if max_parts == 0:
-        return
-    top = min(total, bound if bound is not None else total)
-    for first in range(top, 0, -1):
-        for rest in partitions(total - first, max_parts - 1, first):
-            yield (first,) + rest
-
-
 def sweep_shapes(rank: int, max_weight: int) -> tuple[tuple[int, ...], ...]:
     """All shapes with at most rank+1 parts and size up to max_weight."""
     return tuple(
@@ -108,20 +98,6 @@ def sweep_shapes(rank: int, max_weight: int) -> tuple[tuple[int, ...], ...]:
         for total in range(max_weight + 1)
         for shape in partitions(total, rank + 1)
     )
-
-
-def dominant_interval(lam: Weight, rank: int) -> tuple[Weight, ...]:
-    """Dominant weights below lam, largest first."""
-    result = []
-    for shape in partitions(sum(lam), rank + 1):
-        mu = shape + (0,) * (rank + 1 - len(shape))
-        if bruhat_leq_dominant(mu, lam):
-            result.append(mu)
-    return tuple(result)
-
-
-def _fmt(mu) -> str:
-    return ",".join(str(v) for v in mu)
 
 
 def _sweep_crystals(rank, max_weight, max_elements) -> Iterator[tuple[Weight, Crystal]]:
@@ -138,7 +114,7 @@ def check_oracles(report: VerifyReport, rank: int, max_weight: int, max_elements
     order = factorial(rank + 1)
     for lam, c in _sweep_crystals(rank, max_weight, max_elements):
         for mu in dominant_interval(lam, rank):
-            base = f"n={rank} lam={_fmt(lam)} mu={_fmt(mu)}"
+            base = f"n={rank} lam={format_weight(lam)} mu={format_weight(mu)}"
             k_new = kostka(lam, rank, mu, "new", crystal=c)
             k_ls = kostka(lam, rank, mu, "ls", crystal=c)
             k_llt = kostka(lam, rank, mu, "llt", crystal=c)
@@ -154,7 +130,7 @@ def check_oracles(report: VerifyReport, rank: int, max_weight: int, max_elements
             if mu == lam:
                 report.record(k_new == one, f"{base} K(lam,lam)=1", "1", k_new.text())
 
-        base = f"n={rank} lam={_fmt(lam)}"
+        base = f"n={rank} lam={format_weight(lam)}"
         bad_divisible = 0
         bad_coincide = 0
         for x in range(c.size):
@@ -181,7 +157,7 @@ def check_oracles(report: VerifyReport, rank: int, max_weight: int, max_elements
 
 def check_atoms(report: VerifyReport, rank: int, max_weight: int, max_elements: int) -> None:
     for lam, c in _sweep_crystals(rank, max_weight, max_elements):
-        base = f"n={rank} lam={_fmt(lam)}"
+        base = f"n={rank} lam={format_weight(lam)}"
         dec = decompose(c)
 
         covered = sorted(x for atom in dec.atoms for x in atom.element_ids)
@@ -220,7 +196,7 @@ def check_atoms(report: VerifyReport, rank: int, max_weight: int, max_elements: 
             )
             report.record(
                 holding == len(c.elements_of_weight(mu)),
-                f"{base} multiplicity at mu={_fmt(mu)}",
+                f"{base} multiplicity at mu={format_weight(mu)}",
                 len(c.elements_of_weight(mu)),
                 holding,
             )
@@ -272,7 +248,7 @@ def _all_conjugators(rank: int, beta) -> list[tuple[int, ...]]:
 
 def check_strings(report: VerifyReport, rank: int, max_weight: int, max_elements: int) -> None:
     for lam, c in _sweep_crystals(rank, max_weight, max_elements):
-        base = f"n={rank} lam={_fmt(lam)}"
+        base = f"n={rank} lam={format_weight(lam)}"
         roots = positive_roots(rank)
 
         bad = 0
@@ -334,68 +310,63 @@ def check_strings(report: VerifyReport, rank: int, max_weight: int, max_elements
 # -- suite: arrows -------------------------------------------------------------
 
 
+def _wall_delta(coroot: AffineCoroot, mu: Weight, graph: TwistedGraph) -> int:
+    """Predicted change of arr(mu) when the edges labeled coroot reverse.
+
+    -1 when the reflection of mu is Bruhat-lower, +1 when it is higher
+    and still a vertex of the graph, 0 otherwise (also when mu is fixed).
+    """
+    tmu = apply_affine_reflection(coroot, mu)
+    if tmu == mu:
+        return 0
+    if line_compare(mu, tmu) is LineOrder.LOWER:
+        return -1
+    return 1 if tmu in graph.indegree else 0
+
+
 def check_arrows(report: VerifyReport, rank: int, max_weight: int, max_elements: int) -> None:
-    graphs: dict = {}
-
-    def graph_at(lamp: Weight, stage) -> TwistedGraph:
-        key = (lamp, stage)
-        if key not in graphs:
-            graphs[key] = build_graph(lamp, stage, rank)
-        return graphs[key]
-
+    infinity: dict[Weight, TwistedGraph] = {}
     for shape in sweep_shapes(rank, max_weight):
         lam = normalize_shape(shape, rank)
-        base = f"n={rank} lam'={_fmt(lam)}"
+        base = f"n={rank} lam'={format_weight(lam)}"
+        interval = interval_graph(lam, rank)
+        stage_m = interval.stabilization_stage
+        views = [interval.at(m) for m in range(stage_m + 1)]
 
-        g0 = graph_at(lam, 0)
+        g0 = views[0]
         bad = sum(1 for mu in g0.vertices if g0.arr(mu) != length(mu))
         report.record(bad == 0, f"{base} stage-0 in-degree equals length", 0, bad)
 
-        ginf = graph_at(lam, STAGE_INFINITY)
+        ginf = infinity[lam] = interval.at(STAGE_INFINITY)
         bad = sum(1 for mu in ginf.vertices if ginf.arr(mu) != arr_infinity_formula(mu, lam))
         report.record(bad == 0, f"{base} infinity in-degree closed form", 0, bad)
 
-        stage_m = stabilization_stage(lam, rank)
-        gm = graph_at(lam, stage_m)
         report.record(
-            set(gm.edges) == set(ginf.edges),
+            set(views[stage_m].edges) == set(ginf.edges),
             f"{base} stabilization at stage {stage_m}",
             "stage graph equals infinity graph",
             "differs",
         )
 
-        for m in list(range(stage_m + 1)) + [STAGE_INFINITY]:
-            g = graph_at(lam, m)
+        for g in views + [ginf]:
             bad = sum(
                 1 for src, dst, label in g.edges if apply_affine_reflection(label, dst) != src
             )
-            report.record(bad == 0, f"{base} stage {m} edge labels reflect head to tail", 0, bad)
+            report.record(bad == 0, f"{base} stage {g.stage} edge labels reflect head to tail", 0, bad)
 
         for m in range(stage_m):
-            g, g_next = graph_at(lam, m), graph_at(lam, m + 1)
+            g, g_next = views[m], views[m + 1]
             t = stage_reflection(m + 1, rank)
-            bad = 0
-            for mu in g.vertices:
-                tmu = apply_affine_reflection(t, mu)
-                if tmu == mu:
-                    expected = 0
-                elif line_compare(mu, tmu) is LineOrder.LOWER:
-                    expected = -1
-                elif tmu in g.indegree:
-                    expected = 1
-                else:
-                    expected = 0
-                if g_next.arr(mu) - g.arr(mu) != expected:
-                    bad += 1
+            bad = sum(1 for mu in g.vertices if g_next.arr(mu) - g.arr(mu) != _wall_delta(t, mu, g))
             report.record(bad == 0, f"{base} update rule into stage {m + 1}", 0, bad)
 
     for lam, c in _sweep_crystals(rank, max_weight, max_elements):
-        base = f"n={rank} lam={_fmt(lam)}"
+        base = f"n={rank} lam={format_weight(lam)}"
         dec = decompose(c)
         bad = 0
         for x in range(c.size):
             mu = c.weight(x)
-            ginf = graph_at(dec.atom_of(x).highest_weight, STAGE_INFINITY)
+            ginf = infinity[dec.atom_of(x).highest_weight]
             formula = sum(
                 c.root_string_stats(beta, x).phi
                 if not in_parabolic(beta, rank)
@@ -413,10 +384,10 @@ def check_arrows(report: VerifyReport, rank: int, max_weight: int, max_elements:
 def check_gammam(report: VerifyReport, rank: int, max_weight: int) -> None:
     for shape in sweep_shapes(rank, max_weight):
         lam = normalize_shape(shape, rank)
-        base = f"n={rank} lam'={_fmt(lam)}"
-        stage_m = stabilization_stage(lam, rank)
-        for m in range(stage_m):
-            g = build_graph(lam, m, rank)
+        base = f"n={rank} lam'={format_weight(lam)}"
+        interval = interval_graph(lam, rank)
+        for m in range(interval.stabilization_stage):
+            g = interval.at(m)
             t = stage_reflection(m + 1, rank)
             bad = 0
             applicable = 0
@@ -441,25 +412,21 @@ def check_gammam(report: VerifyReport, rank: int, max_weight: int) -> None:
 
 def check_swapping(report: VerifyReport, rank: int, max_weight: int, max_elements: int) -> None:
     for lam, c in _sweep_crystals(rank, max_weight, max_elements):
-        base = f"n={rank} lam={_fmt(lam)}"
+        base = f"n={rank} lam={format_weight(lam)}"
         dec = decompose(c)
-        graphs: dict = {}
 
-        def graph_at(lamp, stage) -> TwistedGraph:
-            key = (lamp, stage)
-            if key not in graphs:
-                graphs[key] = build_graph(lamp, stage, rank)
-            return graphs[key]
-
-        stages: dict[Weight, int] = {}
+        views: dict[Weight, list[TwistedGraph]] = {}
         for atom in dec.atoms:
-            if atom.highest_weight not in stages:
-                stages[atom.highest_weight] = stabilization_stage(atom.highest_weight, rank)
+            if atom.highest_weight not in views:
+                interval = interval_graph(atom.highest_weight, rank)
+                views[atom.highest_weight] = [
+                    interval.at(m) for m in range(interval.stabilization_stage + 1)
+                ]
 
         images: dict[tuple[int, Weight], list[int]] = {}
 
         for atom_idx, atom in enumerate(dec.atoms):
-            lamp = atom.highest_weight
+            stage_views = views[atom.highest_weight]
             element_at: dict[Weight, int] = {}
             duplicate = False
             for x in atom.element_ids:
@@ -470,10 +437,9 @@ def check_swapping(report: VerifyReport, rank: int, max_weight: int, max_element
                 report.record(False, f"{base} atom#{atom_idx} weights repeat", "multiplicity one", "repeat")
                 continue
 
-            for m in range(stages[lamp]):
+            for m in range(len(stage_views) - 1):
                 coroot = stage_reflection(m + 1, rank)
-                g = graph_at(lamp, m)
-                g_next = graph_at(lamp, m + 1)
+                g, g_next = stage_views[m], stage_views[m + 1]
                 psi_images = set()
                 bad_totality = 0
                 bad_weight = 0
@@ -500,7 +466,8 @@ def check_swapping(report: VerifyReport, rank: int, max_weight: int, max_element
                         bad_weight += 1
                     if dec.member_of[y] != atom_idx:
                         bad_atom += 1
-                    drop = recharge(c, dec, x, m + 1, graphs) - recharge(c, dec, y, m + 1, graphs)
+                    y_graph = g_next if dec.member_of[y] == atom_idx else None
+                    drop = recharge(c, dec, x, m + 1, g_next) - recharge(c, dec, y, m + 1, y_graph)
                     if drop != 1:
                         bad_drop += 1
                     psi_images.add(y)
@@ -529,16 +496,9 @@ def check_swapping(report: VerifyReport, rank: int, max_weight: int, max_element
                 plus_cases = set()
                 for x in atom.element_ids:
                     mu = c.weight(x)
-                    tmu = apply_affine_reflection(coroot, mu)
-                    if tmu == mu:
-                        expected = 0
-                    elif line_compare(mu, tmu) is LineOrder.LOWER:
-                        expected = -1
-                    elif tmu in g.indegree:
-                        expected = 1
+                    expected = _wall_delta(coroot, mu, g)
+                    if expected == 1:
                         plus_cases.add(x)
-                    else:
-                        expected = 0
                     if g_next.arr(mu) - g.arr(mu) != expected:
                         bad_delta += 1
                 report.record(
@@ -557,7 +517,7 @@ def check_swapping(report: VerifyReport, rank: int, max_weight: int, max_element
         for (m, tmu), targets in sorted(images.items()):
             report.record(
                 len(targets) == len(set(targets)),
-                f"{base} stage {m} psi injective on weight {_fmt(tmu)}",
+                f"{base} stage {m} psi injective on weight {format_weight(tmu)}",
                 len(targets),
                 len(set(targets)),
             )
@@ -569,7 +529,7 @@ def check_swapping(report: VerifyReport, rank: int, max_weight: int, max_element
 def check_hecke(report: VerifyReport, rank: int, max_weight: int, max_elements: int) -> None:
     one = HalfLaurentPolynomial.one()
     for lam, c in _sweep_crystals(rank, max_weight, max_elements):
-        base = f"n={rank} lam={_fmt(lam)}"
+        base = f"n={rank} lam={format_weight(lam)}"
         dec = decompose(c)
         expansion = hecke_atomic_expansion(c, dec)
         report.record(
@@ -585,7 +545,7 @@ def check_hecke(report: VerifyReport, rank: int, max_weight: int, max_elements: 
             rhs = kostka(lam, rank, nu, "new", crystal=c).scale_exponents(2)
             report.record(
                 lhs == rhs,
-                f"{base} reconstruction at nu={_fmt(nu)}",
+                f"{base} reconstruction at nu={format_weight(nu)}",
                 rhs.text("v"),
                 lhs.text("v"),
             )

@@ -9,11 +9,13 @@ from crystalcharge.affine_graph import (
     arr_infinity_formula,
     build_graph,
     build_interval,
+    interval_graph,
     stabilization_stage,
     stage_reflection,
 )
 from crystalcharge.root_data import (
     LineOrder,
+    bruhat_leq_dominant,
     length,
     line_compare,
     weyl_apply_weight,
@@ -38,6 +40,20 @@ def test_build_interval_examples():
 def test_build_interval_is_lexicographic():
     interval = build_interval((2, 1, 0), 2)
     assert list(interval) == sorted(interval)
+
+
+@pytest.mark.parametrize("lam", [(3, 1, 0), (2, 2, 1, 0), (4, 2, 1, 0), (3, 2, 1, 0, 0)])
+def test_build_interval_matches_bounding_box(lam):
+    """The orbit enumeration equals the filtered walk over [0, lam_0]^(n+1)."""
+    from itertools import product
+
+    rank = len(lam) - 1
+    box = tuple(
+        mu
+        for mu in product(range(lam[0] + 1), repeat=rank + 1)
+        if sum(mu) == sum(lam) and bruhat_leq_dominant(mu, lam)
+    )
+    assert build_interval(lam, rank) == box
 
 
 def test_build_interval_rejects_non_dominant():
@@ -85,13 +101,6 @@ def test_arr_unknown_vertex():
     g = build_graph((2, 0), 0)
     with pytest.raises(ValueError):
         g.arr((3, -1))
-
-
-def test_arr_function_form():
-    from crystalcharge.affine_graph import arr
-
-    g = build_graph((2, 0), 0)
-    assert arr((2, 0), g) == 2
 
 
 def test_each_line_pair_is_one_edge():
@@ -148,6 +157,10 @@ def test_build_graph_rejects_bad_stage():
         build_graph((2, 0), -1)
     with pytest.raises(ValueError):
         build_graph((2, 0), 1.5)
+    with pytest.raises(ValueError):
+        build_graph((2, 0), True)
+    with pytest.raises(ValueError):
+        build_graph((2, 0), False)
 
 
 # -- affine reflections --------------------------------------------------------------------
@@ -251,6 +264,20 @@ def test_indegree_difference_across_walls(rank, max_weight):
                     checked += 1
                     assert g.arr(mu) == g.arr(tmu) - 1, (lam, m, mu)
     assert checked > 50  # the sweep must not be vacuous
+
+
+def test_interval_graph_views():
+    interval = interval_graph((2, 1, 0), 2)
+    assert interval.vertices == build_interval((2, 1, 0), 2)
+    assert interval.stabilization_stage == stabilization_stage((2, 1, 0), 2)
+    for stage in (0, 1, 2, STAGE_INFINITY):
+        view = interval.at(stage)
+        assert view.stage == stage
+        assert view == build_graph((2, 1, 0), stage)
+    # an edge that is never reversed stays put at stage infinity
+    fixed = [(src, dst) for src, dst, _, index in interval.edges if index is None]
+    assert fixed
+    assert set(fixed) <= {(src, dst) for src, dst, _ in interval.at(STAGE_INFINITY).edges}
 
 
 def test_stabilization():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from crystalcharge.affine_graph import STAGE_INFINITY
+from crystalcharge.affine_graph import STAGE_INFINITY, build_graph
 from crystalcharge.atoms import decompose
 from crystalcharge.charge_kostka import (
     HalfLaurentPolynomial,
@@ -138,6 +138,18 @@ def test_recharge_table_matches_pointwise(c210, dec210):
     for x in range(c210.size):
         assert table.values[x] == recharge(c210, dec210, x, 1)
     assert table.stage == 1
+
+
+def test_recharge_with_supplied_graph(c210, dec210):
+    x = c210.highest
+    graph = build_graph(dec210.atom_of(x).highest_weight, 1)
+    assert recharge(c210, dec210, x, 1, graph) == recharge(c210, dec210, x, 1)
+    with pytest.raises(ValueError):
+        recharge(c210, dec210, x, 2, graph)
+    with pytest.raises(ValueError):
+        recharge(c210, dec210, x, True, graph)
+    with pytest.raises(ValueError):
+        recharge(c210, dec210, x, 1, build_graph((1, 1, 1), 1))
 
 
 def test_recharge_infinity_endpoint(c210, dec210):

@@ -316,6 +316,33 @@ def test_cache_speeds_up_kostka(capsys, tmp_path):
     assert first == second == (0, "q^2 + q\n", "")
 
 
+def _redirect_to_next(edge):
+    edge["to"] = (edge["to"] + 1) % 8
+
+
+def _redirect_out_of_range(edge):
+    edge["to"] = 10**6
+
+
+@pytest.mark.parametrize("corrupt", [_redirect_to_next, _redirect_out_of_range])
+def test_corrupted_cache_edge_exits_2(capsys, tmp_path, corrupt):
+    cache = str(tmp_path / "cache")
+    argv = (
+        "kostka", "--rank", "2", "--weight", "2,1,0", "--mu", "1,1,1",
+        "--cache", cache,
+    )
+    assert run_cli(capsys, *argv) == (0, "q^2 + q\n", "")
+    path = next((tmp_path / "cache").iterdir())
+    data = json.loads(path.read_text(encoding="utf-8"))
+    corrupt(data["edges"][0])
+    path.write_text(json.dumps(data), encoding="utf-8")
+    status, out, err = run_cli(capsys, *argv)
+    assert status == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_out_flag_writes_file(capsys, tmp_path):
     target = tmp_path / "out.txt"
     status, out, _ = run_cli(
