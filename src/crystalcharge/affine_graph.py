@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import permutations
 from typing import Union
 
 from .root_data import (
@@ -132,12 +131,23 @@ class IntervalGraph:
         return TwistedGraph(self.base, stage, self.vertices, tuple(edges), indegree)
 
 
+def _rearrangements(mu: Weight) -> list[Weight]:
+    """The distinct rearrangements of mu, in lexicographic order."""
+    if not mu:
+        return [()]
+    return [
+        (v,) + rest
+        for v in sorted(set(mu))
+        for rest in _rearrangements(mu[: mu.index(v)] + mu[mu.index(v) + 1 :])
+    ]
+
+
 def build_interval(lambda_prime: Weight, rank: int) -> tuple[Weight, ...]:
     """All weights below lambda_prime, in lexicographic order.
 
     A weight lies below lambda_prime exactly when its dominant
     representative does, so the interval is the set of distinct
-    permutations of the dominant weights below lambda_prime.
+    rearrangements of the dominant weights below lambda_prime.
     """
     lam = tuple(lambda_prime)
     if len(lam) != rank + 1:
@@ -146,7 +156,7 @@ def build_interval(lambda_prime: Weight, rank: int) -> tuple[Weight, ...]:
         raise ValueError(f"{lam} is not dominant")
     if lam and lam[-1] < 0:
         raise ValueError(f"{lam} has negative coordinates")
-    return tuple(sorted({w for mu in dominant_interval(lam, rank) for w in permutations(mu)}))
+    return tuple(sorted(w for mu in dominant_interval(lam, rank) for w in _rearrangements(mu)))
 
 
 def interval_graph(lambda_prime: Weight, rank: int | None = None) -> IntervalGraph:

@@ -35,7 +35,7 @@ from .charge_kostka import (
     recharge_table,
 )
 from .crystal import DEFAULT_MAX_ELEMENTS, Crystal, normalize_shape
-from .root_data import format_weight, is_dominant
+from .root_data import format_weight
 from .verify import SUITES, run_verify
 
 
@@ -133,8 +133,6 @@ def _cmd_atoms(args) -> tuple[str, int]:
 
 def _cmd_graph(args) -> tuple[str, int]:
     lam = normalize_shape(_parse_csv(args.weight), args.rank)
-    if not is_dominant(lam):
-        raise ValueError(f"{lam} is not dominant")
     stage = _parse_stage(args.stage)
     graph = build_graph(lam, stage, args.rank)
     if args.format == "json":

@@ -232,8 +232,7 @@ class Crystal:
         elements = tuple(semistandard_tableaux(lam, rank + 1))
         if len(elements) != dim:
             raise CrystalStructureError(f"{len(elements)} tableaux of shape {lam}, expected {dim}")
-        index = {rows: x for x, rows in enumerate(elements)}
-        f_table, e_table = _operator_tables(elements, index, rank)
+        f_table, e_table = _operator_tables(elements, rank)
         return cls(rank, lam, elements, f_table, e_table)
 
     def _finish_tables(self) -> None:
@@ -428,19 +427,17 @@ class Crystal:
                 raise ValueError(f"element {rec['id']} is not semistandard")
             if tuple(rec["weight"]) != content(rows, rank):
                 raise ValueError(f"element {rec['id']} has inconsistent weight")
-        index = {rows: x for x, rows in enumerate(elements)}
-        if len(index) != len(elements):
+        if len(set(elements)) != len(elements):
             raise ValueError("elements repeat")
-        f_table, e_table = _operator_tables(elements, index, rank)
+        f_table, e_table = _operator_tables(elements, rank)
         if data["edges"] != _edge_records(f_table):
             raise ValueError("stored edges differ from the operators on the stored elements")
         return cls(rank, shape, elements, f_table, e_table)
 
 
-def _operator_tables(
-    elements: tuple[TableauRows, ...], index: dict[TableauRows, int], rank: int
-) -> tuple[OperatorTable, OperatorTable]:
-    """The f_i and e_i tables by the signature rule; every image must be in index."""
+def _operator_tables(elements: tuple[TableauRows, ...], rank: int) -> tuple[OperatorTable, OperatorTable]:
+    """The f_i and e_i tables by the signature rule; every image must be an element."""
+    index = {rows: x for x, rows in enumerate(elements)}
 
     def image_id(rows: TableauRows, pos: tuple[int, int], value: int) -> int:
         image = _replace(rows, pos, value)

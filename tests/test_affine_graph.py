@@ -56,6 +56,13 @@ def test_build_interval_matches_bounding_box(lam):
     assert build_interval(lam, rank) == box
 
 
+def test_build_interval_at_high_rank_is_one_orbit():
+    """A weight with small parts costs its orbit, not (rank+1)! orderings."""
+    units = tuple(tuple(int(i == j) for i in range(12)) for j in reversed(range(12)))
+    assert build_interval((1,) + (0,) * 11, 11) == units
+    assert len(build_interval((2, 1) + (0,) * 18, 19)) == 20 * 19 + 20 * 19 * 18 // 6
+
+
 def test_build_interval_rejects_non_dominant():
     with pytest.raises(ValueError):
         build_interval((0, 2), 1)
