@@ -42,9 +42,7 @@ from .root_data import (
     in_parabolic,
     is_dominant,
     length_along,
-    pairing,
     positive_roots,
-    root_vector,
 )
 
 Stage = Union[int, float]
@@ -165,25 +163,31 @@ def interval_graph(lambda_prime: Weight, rank: int | None = None) -> IntervalGra
     n = rank if rank is not None else len(lam) - 1
     vertices = build_interval(lam, n)
     vertex_set = set(vertices)
+    labels: dict[tuple[int, Root, int], tuple[AffineCoroot, int | None]] = {}
     edges = []
     for mu in vertices:
         for beta in positive_roots(n):
-            vec = root_vector(beta, n)
-            p = pairing(mu, beta)
-            k = 1
+            j, k = beta
+            p = mu[j - 1] - mu[k]
+            nu = list(mu)
+            step = 1
             while True:
-                nu = tuple(a - k * b for a, b in zip(mu, vec))
-                if nu not in vertex_set:
+                nu[j - 1] -= 1
+                nu[k] += 1
+                tnu = tuple(nu)
+                if tnu not in vertex_set:
                     break
-                if p >= k:
-                    src, dst = nu, mu
-                    label = AffineCoroot(p - k, beta, 1)
+                if p >= step:
+                    src, dst, key = tnu, mu, (p - step, beta, 1)
                 else:
-                    src, dst = mu, nu
-                    label = AffineCoroot(k - p, beta, -1)
-                edges.append((src, dst, label, label.reversal_index(n)))
-                k += 1
-    top = max((index for *_, index in edges if index is not None), default=0)
+                    src, dst, key = mu, tnu, (step - p, beta, -1)
+                entry = labels.get(key)
+                if entry is None:
+                    label = AffineCoroot(*key)
+                    entry = labels[key] = (label, label.reversal_index(n))
+                edges.append((src, dst, *entry))
+                step += 1
+    top = max((index for _, index in labels.values() if index is not None), default=0)
     return IntervalGraph(lam, vertices, tuple(edges), top)
 
 
@@ -212,11 +216,15 @@ def apply_affine_reflection(a: AffineCoroot, mu: Weight) -> Weight:
     c*delta + b^v by -(<mu,b^v> - c) b.  Consistent with edge labels:
     reflecting an edge's head yields its tail.
     """
-    n = len(mu) - 1
-    vec = root_vector(a.root, n)
-    p = pairing(mu, a.root)
+    j, k = a.root
+    if not 1 <= j <= k < len(mu):
+        raise ValueError(f"invalid root {a.root} for rank {len(mu) - 1}")
+    p = mu[j - 1] - mu[k]
     shift = (a.level + p) if a.sign == -1 else (p - a.level)
-    return tuple(x - shift * v for x, v in zip(mu, vec))
+    out = list(mu)
+    out[j - 1] -= shift
+    out[k] += shift
+    return tuple(out)
 
 
 def arr_infinity_formula(mu: Weight, lambda_prime: Weight) -> int:
@@ -235,14 +243,14 @@ def arr_infinity_formula(mu: Weight, lambda_prime: Weight) -> int:
         if in_parabolic(beta, n):
             total += length_along(mu, beta)
         else:
-            vec = root_vector(beta, n)
-            k = 0
+            j, k = beta
+            nu = list(mu)
             while True:
-                nu = tuple(a - (k + 1) * b for a, b in zip(mu, vec))
+                nu[j - 1] -= 1
+                nu[k] += 1
                 if not bruhat_leq_dominant(nu, lam):
                     break
-                k += 1
-            total += k
+                total += 1
     return total
 
 

@@ -108,11 +108,10 @@ def atomic_number(crystal: Crystal, x: int) -> Fraction:
     Equivalently -<wt(x), rho^v> plus the sum of phi_a(x), since
     phi_a - eps_a pairs the weight with each coroot.
     """
-    mu = crystal.weight(x)
-    total = rho_pairing(mu)
+    eps_sum = 0
     for beta in positive_roots(crystal.rank):
-        total += crystal.root_string_stats(beta, x).eps
-    return total
+        eps_sum += crystal.root_string_stats(beta, x).eps
+    return rho_pairing(crystal.weight(x)) + eps_sum
 
 
 def decompose(crystal: Crystal) -> AtomDecomposition:

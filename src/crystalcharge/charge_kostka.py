@@ -213,15 +213,16 @@ def recharge(
 ) -> Fraction:
     """Z(x) minus the in-degree of wt(x) in the stage graph of x's atom.
 
-    graph, when given, must be that graph: the stage view over the
+    Z is read from x's atom, on which it is constant.  graph, when given, must be that graph: the stage view over the
     highest weight of x's atom.
     """
-    highest = decomposition.atom_of(x).highest_weight
+    atom = decomposition.atom_of(x)
+    highest = atom.highest_weight
     if graph is None:
         graph = build_graph(highest, stage, crystal.rank)
     elif (graph.base, graph.stage, type(graph.stage)) != (highest, stage, type(stage)):
         raise ValueError(f"graph at stage {graph.stage} over {graph.base} is not x's stage-{stage} graph")
-    return atomic_number(crystal, x) - graph.arr(crystal.weight(x))
+    return atom.z - graph.arr(crystal.weight(x))
 
 
 def recharge_table(

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -34,7 +35,7 @@ from .charge_kostka import (
     kostka,
     recharge_table,
 )
-from .crystal import DEFAULT_MAX_ELEMENTS, Crystal, normalize_shape
+from .crystal import DEFAULT_MAX_ELEMENTS, Crystal, capped_dimension, normalize_shape
 from .root_data import format_weight
 from .verify import SUITES, run_verify
 
@@ -73,11 +74,26 @@ def _load_crystal(args) -> Crystal:
         return Crystal.generate(lam, args.rank, args.max_elements)
     path = Path(cache_dir) / f"crystal_r{args.rank}_{'-'.join(map(str, lam))}.json"
     if path.exists():
-        return Crystal.from_json_dict(json.loads(path.read_text(encoding="utf-8")))
+        capped_dimension(lam, args.rank, args.max_elements)
+        crystal = Crystal.from_json_dict(json.loads(path.read_text(encoding="utf-8")))
+        if (crystal.rank, crystal.shape) != (args.rank, lam):
+            raise ValueError(f"cache file {path} holds the crystal of shape {crystal.shape} at rank {crystal.rank}")
+        return crystal
     crystal = Crystal.generate(lam, args.rank, args.max_elements)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(_dumps(crystal.to_json_dict()), encoding="utf-8")
+    _write_atomically(path, _dumps(crystal.to_json_dict()))
     return crystal
+
+
+def _write_atomically(path: Path, text: str) -> None:
+    """Write through a temporary file in path's directory, so a failed write leaves no file."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 # -- verb handlers -------------------------------------------------------------

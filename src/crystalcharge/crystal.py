@@ -89,6 +89,17 @@ def weyl_dimension(shape: tuple[int, ...], rank: int) -> int:
     return int(dim)
 
 
+def capped_dimension(lam: Weight, rank: int, max_elements: int) -> int:
+    """The Weyl dimension of a normalized shape; CrystalSizeError above max_elements."""
+    dim = weyl_dimension(lam, rank)
+    if dim > max_elements:
+        raise CrystalSizeError(
+            f"crystal of shape {lam} at rank {rank} has {dim} elements, "
+            f"exceeding the cap of {max_elements}"
+        )
+    return dim
+
+
 def content(rows: TableauRows, rank: int) -> Weight:
     """The content vector of a tableau: coordinate v counts the letter v+1."""
     counts = [0] * (rank + 1)
@@ -223,12 +234,7 @@ class Crystal:
         max_elements.
         """
         lam = normalize_shape(shape, rank)
-        dim = weyl_dimension(lam, rank)
-        if dim > max_elements:
-            raise CrystalSizeError(
-                f"crystal of shape {lam} at rank {rank} has {dim} elements, "
-                f"exceeding the cap of {max_elements}"
-            )
+        dim = capped_dimension(lam, rank, max_elements)
         elements = tuple(semistandard_tableaux(lam, rank + 1))
         if len(elements) != dim:
             raise CrystalStructureError(f"{len(elements)} tableaux of shape {lam}, expected {dim}")
@@ -411,12 +417,19 @@ class Crystal:
         Contents are revalidated so that a corrupted dump fails loudly:
         every element must be a distinct semistandard tableau of the
         shape, and the stored edges must be those the signature rule
-        gives on the stored elements.
+        gives on the stored elements.  A payload that is not shaped like
+        that output (a missing key, a string for an integer) raises
+        ValueError too.
         """
-        rank = data["rank"]
-        shape = normalize_shape(tuple(data["shape"]), rank)
+        rank = _field(data, "rank", _is_int)
+        shape = normalize_shape(tuple(_field(data, "shape", _is_int_list)), rank)
         row_lengths = tuple(p for p in shape if p > 0)
-        records = sorted(data["elements"], key=lambda rec: rec["id"])
+        records = _field(data, "elements", lambda v: isinstance(v, list))
+        for rec in records:
+            _field(rec, "id", _is_int)
+            _field(rec, "rows", lambda v: isinstance(v, list) and all(map(_is_int_list, v)))
+            _field(rec, "weight", _is_int_list)
+        records = sorted(records, key=lambda rec: rec["id"])
         if [rec["id"] for rec in records] != list(range(len(records))):
             raise ValueError("element ids must be 0..size-1")
         elements = tuple(tuple(tuple(row) for row in rec["rows"]) for rec in records)
@@ -430,9 +443,26 @@ class Crystal:
         if len(set(elements)) != len(elements):
             raise ValueError("elements repeat")
         f_table, e_table = _operator_tables(elements, rank)
-        if data["edges"] != _edge_records(f_table):
+        if _field(data, "edges", lambda v: isinstance(v, list)) != _edge_records(f_table):
             raise ValueError("stored edges differ from the operators on the stored elements")
         return cls(rank, shape, elements, f_table, e_table)
+
+
+def _is_int(value) -> bool:
+    return type(value) is int
+
+
+def _is_int_list(value) -> bool:
+    return isinstance(value, list) and all(type(v) is int for v in value)
+
+
+def _field(record: object, key: str, well_typed) -> object:
+    """record[key]; ValueError unless record is a dict whose key passes well_typed."""
+    if not isinstance(record, dict) or key not in record:
+        raise ValueError(f"crystal payload lacks {key!r}")
+    if not well_typed(record[key]):
+        raise ValueError(f"crystal payload has a malformed {key!r}")
+    return record[key]
 
 
 def _operator_tables(elements: tuple[TableauRows, ...], rank: int) -> tuple[OperatorTable, OperatorTable]:

@@ -188,9 +188,8 @@ def bruhat_leq_dominant(mu: Weight, lam: Weight) -> bool:
             f"coordinate sums differ ({sum(mu)} vs {sum(lam)}): "
             "weights lie in different root-lattice cosets"
         )
-    mu_plus, _ = dominant_representative(mu)
     partial = 0
-    for a, b in zip(mu_plus, lam):
+    for a, b in zip(sorted(mu, reverse=True), lam):
         partial += a - b
         if partial > 0:
             return False
@@ -249,12 +248,14 @@ def line_decompose(mu: Weight, nu: Weight) -> tuple[int, Root]:
     Raises ValueError when mu - nu is not a multiple of a single
     positive root (including mu = nu).
     """
+    support = [i for i, a, b in zip(range(len(mu)), mu, nu) if a != b]
+    if len(support) == 2:
+        a, b = support
+        k = mu[a] - nu[a]
+        if k == nu[b] - mu[b]:
+            return k, (a + 1, b)
     diff = tuple(a - b for a, b in zip(mu, nu))
-    support = [i for i, d in enumerate(diff) if d != 0]
-    if len(support) != 2 or diff[support[0]] != -diff[support[1]]:
-        raise ValueError(f"difference {diff} does not lie on a root line")
-    a, b = support
-    return diff[a], (a + 1, b)
+    raise ValueError(f"difference {diff} does not lie on a root line")
 
 
 def line_compare(mu: Weight, nu: Weight) -> LineOrder:

@@ -175,6 +175,8 @@ def test_build_graph_rejects_bad_stage():
 
 def test_apply_affine_reflection_examples():
     assert apply_affine_reflection(AffineCoroot(1, (1, 1), -1), (1, 1)) == (0, 2)
+    with pytest.raises(ValueError, match=r"invalid root \(1, 2\) for rank 1"):
+        apply_affine_reflection(AffineCoroot(1, (1, 2), -1), (1, 1))
     # level zero with positive sign is the finite reflection
     s_beta = transposition(1, 2, 3)
     for mu in build_interval((2, 1, 0), 2):

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from crystalcharge.affine_graph import STAGE_INFINITY, build_graph
-from crystalcharge.atoms import decompose
+from crystalcharge.affine_graph import STAGE_INFINITY, build_graph, interval_graph, stabilization_stage
+from crystalcharge.atoms import atomic_number, decompose
 from crystalcharge.charge_kostka import (
     HalfLaurentPolynomial,
     charge,
@@ -150,6 +150,16 @@ def test_recharge_with_supplied_graph(c210, dec210):
         recharge(c210, dec210, x, True, graph)
     with pytest.raises(ValueError):
         recharge(c210, dec210, x, 1, build_graph((1, 1, 1), 1))
+
+
+def test_recharge_matches_table_free_reference(c210, dec210):
+    top = stabilization_stage((2, 1, 0))
+    for stage in [*range(top + 1), STAGE_INFINITY]:
+        table = recharge_table(c210, dec210, stage)
+        for x in range(c210.size):
+            view = interval_graph(dec210.atom_of(x).highest_weight).at(stage)
+            expected = atomic_number(c210, x) - view.arr(c210.weights[x])
+            assert recharge(c210, dec210, x, stage) == table.values[x] == expected
 
 
 def test_recharge_infinity_endpoint(c210, dec210):

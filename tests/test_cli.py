@@ -1,6 +1,7 @@
 """Tests for the command-line interface: outputs, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -316,15 +317,38 @@ def test_cache_speeds_up_kostka(capsys, tmp_path):
     assert first == second == (0, "q^2 + q\n", "")
 
 
-def _redirect_to_next(edge):
-    edge["to"] = (edge["to"] + 1) % 8
+def _redirect_to_next(data):
+    data["edges"][0]["to"] = (data["edges"][0]["to"] + 1) % 8
+    return data
 
 
-def _redirect_out_of_range(edge):
-    edge["to"] = 10**6
+def _redirect_out_of_range(data):
+    data["edges"][0]["to"] = 10**6
+    return data
 
 
-@pytest.mark.parametrize("corrupt", [_redirect_to_next, _redirect_out_of_range])
+def _string_rows(data):
+    data["elements"][1]["rows"] = [["1", "1"], ["2"]]
+    return data
+
+
+def _missing_weight(data):
+    del data["elements"][2]["weight"]
+    return data
+
+
+def _list_payload(data):
+    return list(data.values())
+
+
+def _other_shape(data):
+    return Crystal.generate((3, 0, 0), 2).to_json_dict()
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_redirect_to_next, _redirect_out_of_range, _string_rows, _missing_weight, _list_payload, _other_shape],
+)
 def test_corrupted_cache_edge_exits_2(capsys, tmp_path, corrupt):
     cache = str(tmp_path / "cache")
     argv = (
@@ -334,13 +358,40 @@ def test_corrupted_cache_edge_exits_2(capsys, tmp_path, corrupt):
     assert run_cli(capsys, *argv) == (0, "q^2 + q\n", "")
     path = next((tmp_path / "cache").iterdir())
     data = json.loads(path.read_text(encoding="utf-8"))
-    corrupt(data["edges"][0])
-    path.write_text(json.dumps(data), encoding="utf-8")
+    path.write_text(json.dumps(corrupt(data)), encoding="utf-8")
     status, out, err = run_cli(capsys, *argv)
     assert status == 2
     assert out == ""
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+def test_cache_replay_respects_size_cap(capsys, tmp_path):
+    argv = ("crystal", "--rank", "2", "--weight", "2,1,0", "--cache", str(tmp_path))
+    assert run_cli(capsys, *argv)[0] == 0
+    status, out, err = run_cli(capsys, *argv, "--max-elements", "3")
+    assert (status, out) == (2, "")
+    assert "cap" in err
+
+
+def test_failed_cache_write_leaves_no_file(capsys, tmp_path, monkeypatch):
+    argv = (
+        "kostka", "--rank", "2", "--weight", "2,1,0", "--mu", "1,1,1",
+        "--cache", str(tmp_path),
+    )
+    write_text = Path.write_text
+
+    def write_half(self, text, *args, **kwargs):
+        write_text(self, text[: len(text) // 2], *args, **kwargs)
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", write_half)
+    with pytest.raises(OSError):
+        cli.main(list(argv))
+    monkeypatch.undo()
+    assert list(tmp_path.iterdir()) == []
+    assert run_cli(capsys, *argv) == (0, "q^2 + q\n", "")
+    assert [path.name for path in tmp_path.iterdir()] == ["crystal_r2_2-1-0.json"]
 
 
 def test_out_flag_writes_file(capsys, tmp_path):
