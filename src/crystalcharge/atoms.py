@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .affine_graph import build_interval
 from .crystal import Crystal
 from .root_data import (
     Weight,
@@ -86,22 +85,6 @@ class AtomDecomposition:
         return self.atoms[self.member_of[x]]
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(check.passed for check in self.checks)
-
-
 def atomic_number(crystal: Crystal, x: int) -> Fraction:
     """Z(x) as an exact half-integer.
 
@@ -155,37 +138,6 @@ def decompose(crystal: Crystal) -> AtomDecomposition:
         for x in atom.element_ids:
             member_of[x] = idx
     return AtomDecomposition(tuple(atoms), tuple(member_of))
-
-
-def validate_atom(atom: Atom, crystal: Crystal) -> ValidationReport:
-    """Check the three defining properties of an atom; failures are data."""
-    weights = [crystal.weight(x) for x in atom.element_ids]
-
-    distinct = len(set(weights)) == len(weights)
-    interval = sorted(build_interval(atom.highest_weight, crystal.rank))
-    interval_ok = sorted(set(weights)) == interval
-    z_values = {atomic_number(crystal, x) for x in atom.element_ids}
-    z_ok = z_values == {atom.z}
-
-    return ValidationReport(
-        (
-            CheckResult(
-                "distinct-weights",
-                distinct,
-                "" if distinct else f"{len(weights) - len(set(weights))} repeated weights",
-            ),
-            CheckResult(
-                "lower-interval",
-                interval_ok,
-                "" if interval_ok else f"weights != interval below {atom.highest_weight}",
-            ),
-            CheckResult(
-                "constant-z",
-                z_ok,
-                "" if z_ok else f"Z values {sorted(z_values)} != {atom.z}",
-            ),
-        )
-    )
 
 
 def bplus_components(crystal: Crystal) -> tuple[tuple[int, ...], ...]:

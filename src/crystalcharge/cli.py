@@ -15,7 +15,7 @@ Weights are entered as comma-separated partitions and the rank is
 always explicit, since the same partition means different crystals at
 different ranks.  Output is deterministic: identical invocations
 produce byte-identical results.  Exit codes: 0 success, 1 verification
-failure, 2 invalid input.
+failure, 2 invalid input or a file that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -298,14 +298,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     try:
         text, status = args.handler(args)
-    except (ValueError, ArithmeticError) as exc:
+        out_path = getattr(args, "out", None)
+        if out_path is not None:
+            Path(out_path).write_text(text, encoding="utf-8")
+        else:
+            sys.stdout.write(text)
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out_path = getattr(args, "out", None)
-    if out_path is not None:
-        Path(out_path).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
     return status
 
 

@@ -217,7 +217,6 @@ class Crystal:
         self.shape = shape
         self.elements = elements
         self.weights = tuple(content(rows, rank) for rows in elements)
-        self.index = {rows: x for x, rows in enumerate(elements)}
         self._f = f_table
         self._e = e_table
         self._finish_tables()

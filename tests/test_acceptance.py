@@ -4,7 +4,9 @@ The sweep covers ranks 1..3 with |lambda| <= 8 and rank 4 with
 |lambda| <= 6; the wall-difference criterion runs over all dominant
 weights with rank <= 3 and size <= 8.  Every comparison is exact
 (integer or fraction equality); there are no numeric tolerances to
-tune.  One PASS/FAIL line is printed per criterion.
+tune.  One PASS/FAIL line is printed per criterion.  Criteria select
+cases by check family, and every family the seven suites record
+belongs to exactly one criterion.
 """
 
 import json
@@ -13,61 +15,41 @@ import pytest
 
 from crystalcharge import cli
 from crystalcharge.charge_kostka import kostka
-from crystalcharge.verify import (
-    VerifyReport,
-    check_arrows,
-    check_atoms,
-    check_gammam,
-    check_hecke,
-    check_oracles,
-    check_strings,
-    check_swapping,
-)
+from crystalcharge.verify import SUITES, run_verify
 
 FULL_SWEEP = ((1, 8), (2, 8), (3, 8), (4, 6))
 GAMMAM_SWEEP = ((1, 8), (2, 8), (3, 8))
 MAX_ELEMENTS = 2_000_000
 
-
-class LoggingReport(VerifyReport):
-    """Keeps every case descriptor so criteria can be reported separately."""
-
-    def __init__(self, suite):
-        super().__init__(suite)
-        self.log = []
-
-    def record(self, ok, case, expected, actual):
-        super().record(ok, case, expected, actual)
-        self.log.append((ok, case))
+# criterion number -> {suite: the check families of that suite it concludes on}
+CRITERIA = {
+    1: {"oracles": {"new=ls", "new=llt", "q=1"}},
+    2: {"oracles": {"K(lam,lam)=1"}},
+    3: {"atoms": {"distinct-weights", "lower-interval", "partition", "tilde-components", "multiplicity"}},
+    4: {"atoms": {"constant-z"}},
+    5: {"oracles": {"gamma-divisible", "charge=gamma"}},
+    6: {"arrows": {"stage0-length"}},
+    7: {"gammam": {"wall-difference"}},
+    8: {"arrows": {"infinity-closed-form", "per-element-infinity"}},
+    9: {"swapping": {
+        "repeated-weights", "psi-total", "psi-target", "recharge-drop",
+        "three-case-delta", "psi-images", "psi-injective",
+    }},
+    10: {"hecke": {"leading-coefficient", "nonnegative", "reconstruction"}},
+    11: {"strings": {"pairing", "string-sums", "conjugator-choice", "commutation"}},
+    13: {
+        "atoms": {"closure", "lowering-depth"},
+        "arrows": {"stabilization", "edge-labels", "update-rule"},
+    },
+}
 
 
 def _run_suite(cache, name):
-    if name in cache:
-        return cache[name]
-    report = LoggingReport(name)
-    if name == "oracles":
-        for rank, mw in FULL_SWEEP:
-            check_oracles(report, rank, mw, MAX_ELEMENTS)
-    elif name == "atoms":
-        for rank, mw in FULL_SWEEP:
-            check_atoms(report, rank, mw, MAX_ELEMENTS)
-    elif name == "strings":
-        for rank, mw in FULL_SWEEP:
-            check_strings(report, rank, mw, MAX_ELEMENTS)
-    elif name == "arrows":
-        for rank, mw in FULL_SWEEP:
-            check_arrows(report, rank, mw, MAX_ELEMENTS)
-    elif name == "gammam":
-        for rank, mw in GAMMAM_SWEEP:
-            check_gammam(report, rank, mw)
-    elif name == "swapping":
-        for rank, mw in FULL_SWEEP:
-            check_swapping(report, rank, mw, MAX_ELEMENTS)
-    elif name == "hecke":
-        for rank, mw in FULL_SWEEP:
-            check_hecke(report, rank, mw, MAX_ELEMENTS)
-    cache[name] = report
-    return report
+    """One report per sweep point of the named suite, computed once per module."""
+    if name not in cache:
+        sweep = GAMMAM_SWEEP if name == "gammam" else FULL_SWEEP
+        cache[name] = [run_verify(name, rank, mw, MAX_ELEMENTS) for rank, mw in sweep]
+    return cache[name]
 
 
 @pytest.fixture(scope="module")
@@ -75,13 +57,13 @@ def suites():
     return {}
 
 
-def _conclude(capsys, number, description, report, predicate=None):
-    if predicate is None:
-        cases = report.cases
-        failures = report.failures
-    else:
-        cases = sum(1 for _, case in report.log if predicate(case))
-        failures = [f for f in report.failures if predicate(f.case)]
+def _conclude(capsys, number, description, suites):
+    cases = 0
+    failures = []
+    for name, families in CRITERIA[number].items():
+        for report in _run_suite(suites, name):
+            cases += sum(report.counts.get(check, 0) for check in families)
+            failures += [f for f in report.failures if f.check in families]
     status = "PASS" if not failures else "FAIL"
     with capsys.disabled():
         print(f"[criterion {number:02d}] {status} {description} (cases={cases}, failures={len(failures)})")
@@ -90,13 +72,7 @@ def _conclude(capsys, number, description, report, predicate=None):
 
 
 def test_criterion_01_triple_oracle_agreement(suites, capsys):
-    report = _run_suite(suites, "oracles")
-    _conclude(
-        capsys, 1,
-        "Kostka agreement: new = ls = llt and value at q=1 equals the count",
-        report,
-        lambda case: "new=ls" in case or "new=llt" in case or "value at q=1" in case,
-    )
+    _conclude(capsys, 1, "Kostka agreement: new = ls = llt and value at q=1 equals the count", suites)
 
 
 def test_criterion_02_pinned_values(suites, capsys):
@@ -104,86 +80,42 @@ def test_criterion_02_pinned_values(suites, capsys):
     assert kostka((2, 0), 1, (1, 1), "ls").text() == "q"
     assert kostka((2, 1, 0), 2, (1, 1, 1), "new").text() == "q^2 + q"
     assert kostka((2, 1, 0), 2, (1, 1, 1), "ls").text() == "q^2 + q"
-    report = _run_suite(suites, "oracles")
-    _conclude(
-        capsys, 2,
-        "pinned values and K(lam,lam)=1 across the sweep",
-        report,
-        lambda case: "K(lam,lam)=1" in case,
-    )
+    _conclude(capsys, 2, "pinned values and K(lam,lam)=1 across the sweep", suites)
 
 
 def test_criterion_03_atomic_decomposition_soundness(suites, capsys):
-    report = _run_suite(suites, "atoms")
-    _conclude(
-        capsys, 3,
-        "atoms: distinct weights, lower intervals, dominant components match",
-        report,
-        lambda case: (
-            "distinct-weights" in case
-            or "lower-interval" in case
-            or "partition the crystal" in case
-            or "tilde components" in case
-            or "multiplicity" in case
-        ),
-    )
+    _conclude(capsys, 3, "atoms: distinct weights, lower intervals, dominant components match", suites)
 
 
 def test_criterion_04_z_constancy(suites, capsys):
-    report = _run_suite(suites, "atoms")
-    _conclude(
-        capsys, 4,
-        "atomic number constant on every atom",
-        report,
-        lambda case: "constant-z" in case,
-    )
+    _conclude(capsys, 4, "atomic number constant on every atom", suites)
 
 
 def test_criterion_05_per_element_charge_coincidence(suites, capsys):
-    report = _run_suite(suites, "oracles")
-    _conclude(
-        capsys, 5,
-        "charge equals the Weyl-averaged statistic; gamma sums divisible",
-        report,
-        lambda case: "gamma" in case,
-    )
+    _conclude(capsys, 5, "charge equals the Weyl-averaged statistic; gamma sums divisible", suites)
 
 
 def test_criterion_06_stage0_length_identity(suites, capsys):
-    report = _run_suite(suites, "arrows")
-    _conclude(
-        capsys, 6,
-        "stage-0 in-degree equals Bruhat length on every interval",
-        report,
-        lambda case: "stage-0 in-degree" in case,
-    )
+    _conclude(capsys, 6, "stage-0 in-degree equals Bruhat length on every interval", suites)
 
 
 def test_criterion_07_wall_difference_identity(suites, capsys):
-    report = _run_suite(suites, "gammam")
     _conclude(
-        capsys, 7,
-        "in-degree difference of one across every reversed wall (n<=3, |lam'|<=8)",
-        report,
+        capsys, 7, "in-degree difference of one across every reversed wall (n<=3, |lam'|<=8)", suites
     )
 
 
 def test_criterion_08_infinity_closed_form(suites, capsys):
-    report = _run_suite(suites, "arrows")
     _conclude(
-        capsys, 8,
-        "stage-infinity in-degrees match the interval and per-element formulas",
-        report,
-        lambda case: "infinity" in case,
+        capsys, 8, "stage-infinity in-degrees match the interval and per-element formulas", suites
     )
 
 
 def test_criterion_09_swapping_functions(suites, capsys):
-    report = _run_suite(suites, "swapping")
     _conclude(
         capsys, 9,
         "swapping maps total, injective, atom-preserving, recharge drop one, deltas three-case",
-        report,
+        suites,
     )
 
 
@@ -198,21 +130,11 @@ def test_criterion_10_hecke_reconstruction(suites, capsys):
         (2, 1, 0): HalfLaurentPolynomial.one(),
         (1, 1, 1): HalfLaurentPolynomial.monomial(2),
     }
-    report = _run_suite(suites, "hecke")
-    _conclude(
-        capsys, 10,
-        "Kazhdan-Lusztig column reconstructed from atomic coefficients",
-        report,
-    )
+    _conclude(capsys, 10, "Kazhdan-Lusztig column reconstructed from atomic coefficients", suites)
 
 
 def test_criterion_11_crystal_layer_lemmas(suites, capsys):
-    report = _run_suite(suites, "strings")
-    _conclude(
-        capsys, 11,
-        "pairing identity, string sums, conjugator independence, commutation",
-        report,
-    )
+    _conclude(capsys, 11, "pairing identity, string sums, conjugator independence, commutation", suites)
 
 
 def test_criterion_12_cli_determinism(tmp_path, capsys):
@@ -254,3 +176,30 @@ def test_criterion_12_cli_determinism(tmp_path, capsys):
             f"(cases={len(invocations) + 3}, failures={len(failures)})"
         )
     assert not failures, failures
+
+
+def test_criterion_13_graph_and_closure_structure(suites, capsys):
+    _conclude(
+        capsys, 13,
+        "stabilization, edge labels, update rule, last-column closure, lowering depth",
+        suites,
+    )
+
+
+def test_every_check_family_belongs_to_one_criterion(suites):
+    for name in SUITES[:-1]:
+        recorded = set().union(*(report.counts for report in _run_suite(suites, name)))
+        owners = {
+            check: [n for n, by_suite in CRITERIA.items() if check in by_suite.get(name, ())]
+            for check in recorded
+        }
+        assert all(len(found) == 1 for found in owners.values()), (name, owners)
+
+
+@pytest.mark.parametrize(
+    "suite, cases",
+    [("oracles", 54), ("atoms", 63), ("strings", 21), ("arrows", 58), ("gammam", 8), ("swapping", 50), ("hecke", 25)],
+)
+def test_suite_sizes_at_rank_2_weight_3(suite, cases):
+    report = run_verify(suite, 2, 3)
+    assert (report.cases, report.failures) == (cases, [])

@@ -10,7 +10,6 @@ from crystalcharge.atoms import (
     atomic_number,
     bplus_components,
     decompose,
-    validate_atom,
 )
 from crystalcharge.crystal import Crystal
 from crystalcharge.root_data import (
@@ -19,7 +18,7 @@ from crystalcharge.root_data import (
     rho_pairing,
     root_vector,
 )
-from crystalcharge.verify import dominant_interval, partitions
+from crystalcharge.verify import VerifyReport, dominant_interval, partitions, validate_atom
 
 
 @pytest.fixture(scope="module")
@@ -134,34 +133,46 @@ def test_singleton_atom_epsilon_sum(c210, dec210):
 # -- validation ------------------------------------------------------------------------
 
 
+def _validate(atom, crystal):
+    report = VerifyReport("atoms")
+    validate_atom(report, atom, crystal, "atom")
+    return report
+
+
 def test_validate_atom_passes(c210, dec210):
     for atom in dec210.atoms:
-        report = validate_atom(atom, c210)
-        assert report.passed, [c for c in report.checks if not c.passed]
+        report = _validate(atom, c210)
+        assert report.counts == {"distinct-weights": 1, "lower-interval": 1, "constant-z": 1}
+        assert not report.failures, report.failures
 
 
 def test_validate_singleton_interval(c210, dec210):
     singleton = next(atom for atom in dec210.atoms if atom.size == 1)
     assert singleton.highest_weight == (1, 1, 1)
-    report = validate_atom(singleton, c210)
-    assert report.passed
+    assert not _validate(singleton, c210).failures
 
 
 def test_validate_merged_atoms_fails(c210, dec210):
     merged_ids = tuple(sorted(x for atom in dec210.atoms for x in atom.element_ids))
     merged = Atom((2, 1, 0), merged_ids, dec210.atoms[0].z)
-    report = validate_atom(merged, c210)
-    names = {check.name: check.passed for check in report.checks}
-    assert not names["distinct-weights"]
-    assert not report.passed
+    failed = {f.check: f for f in _validate(merged, c210).failures}
+    assert "distinct-weights" in failed
+    assert failed["distinct-weights"].case == "atom distinct-weights"
+    assert failed["distinct-weights"].actual == "1 repeated weights"
+
+
+def test_validate_wrong_highest_weight_fails(c210, dec210):
+    singleton = next(atom for atom in dec210.atoms if atom.size == 1)
+    misplaced = Atom((2, 1, 0), singleton.element_ids, singleton.z)
+    failed = {f.check for f in _validate(misplaced, c210).failures}
+    assert failed == {"lower-interval"}
 
 
 def test_validate_wrong_z_fails(c210, dec210):
     atom = dec210.atoms[0]
     tampered = Atom(atom.highest_weight, atom.element_ids, atom.z + 1)
-    report = validate_atom(tampered, c210)
-    names = {check.name: check.passed for check in report.checks}
-    assert not names["constant-z"]
+    failed = {f.check for f in _validate(tampered, c210).failures}
+    assert failed == {"constant-z"}
 
 
 def test_atom_json(dec210):

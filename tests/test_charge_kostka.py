@@ -96,7 +96,7 @@ def test_charge_of_zero_weight_elements(c210):
 
 
 def test_charge_of_sl2_middle(c20):
-    x = c20.index[((1, 2),)]
+    x = c20.elements.index(((1, 2),))
     assert charge(c20, x) == 1
 
 
@@ -128,7 +128,7 @@ def test_recharge_stage_zero_is_z_minus_length(c210, dec210):
 
 
 def test_recharge_sl2_infinity(c20, dec20):
-    x = c20.index[((1, 2),)]
+    x = c20.elements.index(((1, 2),))
     assert recharge(c20, dec20, x, STAGE_INFINITY) == 0
     assert recharge(c20, dec20, x, 0) == 1
 
@@ -233,7 +233,7 @@ def test_reading_word_is_bottom_to_top(c210):
 
 
 def test_llt_gamma_examples(c20, c210):
-    assert llt_gamma(c20, c20.index[((1, 2),)]) == 1
+    assert llt_gamma(c20, c20.elements.index(((1, 2),))) == 1
     assert llt_gamma(c20, c20.highest) == 0
     assert llt_gamma(c210, c210.highest) == 0
 
@@ -309,7 +309,7 @@ def test_kostka_accepts_short_mu():
 
 
 def test_swapping_example_sl2(c20, dec20):
-    x22 = c20.index[((2, 2),)]
+    x22 = c20.elements.index(((2, 2),))
     image = swapping_map(c20, dec20, 0, (1, 1), x22)
     assert c20.elements[image] == ((1, 2),)
     assert c20.weights[image] == (1, 1)
@@ -331,13 +331,13 @@ def test_swapping_weight_and_atom(c210, dec210):
 
 
 def test_swapping_recharge_drop(c20, dec20):
-    x22 = c20.index[((2, 2),)]
+    x22 = c20.elements.index(((2, 2),))
     image = swapping_map(c20, dec20, 0, (1, 1), x22)
     assert recharge(c20, dec20, image, 1) == recharge(c20, dec20, x22, 1) - 1
 
 
 def test_swapping_rejects_bad_inputs(c20, dec20):
-    x22 = c20.index[((2, 2),)]
+    x22 = c20.elements.index(((2, 2),))
     with pytest.raises(ValueError):
         swapping_map(c20, dec20, 0, (2, 0), x22)  # (2,0) is above its reflection
     with pytest.raises(ValueError):

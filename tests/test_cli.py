@@ -1,5 +1,6 @@
 """Tests for the command-line interface: outputs, exit codes, determinism."""
 
+import functools
 import json
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import pytest
 
 from crystalcharge import cli
 from crystalcharge.crystal import Crystal
-from crystalcharge.verify import VerifyFailure, VerifyReport
+from crystalcharge.verify import VerifyReport
 
 
 def run_cli(capsys, *argv):
@@ -203,15 +204,14 @@ def test_verify_unknown_suite_exits_2(capsys):
 def test_verify_failure_exits_1(capsys, monkeypatch):
     def fake_run_verify(suite, rank, max_weight, max_elements):
         report = VerifyReport(suite)
-        report.cases = 1
-        report.failures.append(VerifyFailure("corrupted fixture", "pass", "fail"))
+        report.record("constant-z", False, "corrupted fixture", "pass", "fail")
         return report
 
     monkeypatch.setattr(cli, "run_verify", fake_run_verify)
     status, out, _ = run_cli(capsys, "verify", "--suite", "atoms")
     assert status == 1
-    assert "FAIL corrupted fixture" in out
-    assert "failures=1" in out
+    assert "FAIL corrupted fixture: expected pass, got fail" in out
+    assert "cases=1 failures=1" in out
 
 
 # -- error handling -----------------------------------------------------------------
@@ -317,39 +317,71 @@ def test_cache_speeds_up_kostka(capsys, tmp_path):
     assert first == second == (0, "q^2 + q\n", "")
 
 
+def _rewrite(edit):
+    """A hook that replaces the cache file's payload by edit(payload)."""
+
+    @functools.wraps(edit)
+    def hook(path):
+        data = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps(edit(data)), encoding="utf-8")
+        return ()
+
+    return hook
+
+
+@_rewrite
 def _redirect_to_next(data):
     data["edges"][0]["to"] = (data["edges"][0]["to"] + 1) % 8
     return data
 
 
+@_rewrite
 def _redirect_out_of_range(data):
     data["edges"][0]["to"] = 10**6
     return data
 
 
+@_rewrite
 def _string_rows(data):
     data["elements"][1]["rows"] = [["1", "1"], ["2"]]
     return data
 
 
+@_rewrite
 def _missing_weight(data):
     del data["elements"][2]["weight"]
     return data
 
 
+@_rewrite
 def _list_payload(data):
     return list(data.values())
 
 
+@_rewrite
 def _other_shape(data):
     return Crystal.generate((3, 0, 0), 2).to_json_dict()
 
 
+def _cache_is_directory(path):
+    path.unlink()
+    path.mkdir()
+    return ()
+
+
+def _out_in_missing_directory(path):
+    return ("--out", str(path.parent / "missing" / "out.txt"))
+
+
 @pytest.mark.parametrize(
     "corrupt",
-    [_redirect_to_next, _redirect_out_of_range, _string_rows, _missing_weight, _list_payload, _other_shape],
+    [
+        _redirect_to_next, _redirect_out_of_range, _string_rows, _missing_weight, _list_payload,
+        _other_shape, _cache_is_directory, _out_in_missing_directory,
+    ],
 )
 def test_corrupted_cache_edge_exits_2(capsys, tmp_path, corrupt):
+    """Each hook damages the cache file (or the output path) and returns extra arguments."""
     cache = str(tmp_path / "cache")
     argv = (
         "kostka", "--rank", "2", "--weight", "2,1,0", "--mu", "1,1,1",
@@ -357,12 +389,11 @@ def test_corrupted_cache_edge_exits_2(capsys, tmp_path, corrupt):
     )
     assert run_cli(capsys, *argv) == (0, "q^2 + q\n", "")
     path = next((tmp_path / "cache").iterdir())
-    data = json.loads(path.read_text(encoding="utf-8"))
-    path.write_text(json.dumps(corrupt(data)), encoding="utf-8")
-    status, out, err = run_cli(capsys, *argv)
+    status, out, err = run_cli(capsys, *argv, *corrupt(path))
     assert status == 2
     assert out == ""
     assert err.startswith("error:")
+    assert err.count("\n") == 1
     assert "Traceback" not in err
 
 
@@ -386,9 +417,10 @@ def test_failed_cache_write_leaves_no_file(capsys, tmp_path, monkeypatch):
         raise OSError(28, "No space left on device")
 
     monkeypatch.setattr(Path, "write_text", write_half)
-    with pytest.raises(OSError):
-        cli.main(list(argv))
+    status, out, err = run_cli(capsys, *argv)
     monkeypatch.undo()
+    assert (status, out) == (2, "")
+    assert err == "error: [Errno 28] No space left on device\n"
     assert list(tmp_path.iterdir()) == []
     assert run_cli(capsys, *argv) == (0, "q^2 + q\n", "")
     assert [path.name for path in tmp_path.iterdir()] == ["crystal_r2_2-1-0.json"]

@@ -130,11 +130,11 @@ def test_character_matches_content_counts(c210):
 
 def test_crystal_op_examples(c20, c210):
     # the unique three-element string of B((2,0))
-    x = c20.index[((1, 2),)]
+    x = c20.elements.index(((1, 2),))
     assert c20.elements[c20.f(1, x)] == ((2, 2),)
     assert c20.e(1, c20.highest) is None
     # signature rule on reading word 2 1 1
-    x = c210.index[((1, 1), (2,))]
+    x = c210.elements.index(((1, 1), (2,)))
     assert c210.elements[c210.f(1, x)] == ((1, 2), (2,))
 
 
@@ -143,8 +143,8 @@ def test_string_stats_examples(c20, c210):
         stats = c210.string_stats(i, c210.highest)
         assert stats.eps == 0
         assert stats.phi == pairing(c210.shape, (i, i))
-    assert c20.string_stats(1, c20.index[((1, 2),)]) == (1, 1)
-    assert c210.string_stats(1, c210.index[((1, 2), (2,))]) == (1, 0)
+    assert c20.string_stats(1, c20.elements.index(((1, 2),))) == (1, 1)
+    assert c210.string_stats(1, c210.elements.index(((1, 2), (2,)))) == (1, 0)
 
 
 def test_bijectivity(c210):
@@ -200,7 +200,7 @@ def test_weyl_act_examples(c20, c210):
             if pairing(c210.weights[x], (i, i)) == 0:
                 assert c210.si(i, x) == x
     # string reversal in sl2
-    assert c20.elements[c20.si(1, c20.index[((1, 1),)])] == ((2, 2),)
+    assert c20.elements[c20.si(1, c20.elements.index(((1, 1),)))] == ((2, 2),)
 
 
 def test_braid_relation(c210):
