@@ -213,8 +213,9 @@ def recharge(
 ) -> Fraction:
     """Z(x) minus the in-degree of wt(x) in the stage graph of x's atom.
 
-    Z is read from x's atom, on which it is constant.  graph, when given, must be that graph: the stage view over the
-    highest weight of x's atom.
+    Z is read from x's atom, on which it is constant.  graph, when
+    given, must be that graph: the stage view over the highest weight
+    of x's atom.
     """
     atom = decomposition.atom_of(x)
     highest = atom.highest_weight

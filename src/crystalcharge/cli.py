@@ -75,7 +75,11 @@ def _load_crystal(args) -> Crystal:
     path = Path(cache_dir) / f"crystal_r{args.rank}_{'-'.join(map(str, lam))}.json"
     if path.exists():
         capped_dimension(lam, args.rank, args.max_elements)
-        crystal = Crystal.from_json_dict(json.loads(path.read_text(encoding="utf-8")))
+        try:
+            data = json.loads(path.read_text(encoding="utf-8"))
+        except RecursionError:
+            raise ValueError(f"cache file {path} nests too deeply to be a crystal")
+        crystal = Crystal.from_json_dict(data)
         if (crystal.rank, crystal.shape) != (args.rank, lam):
             raise ValueError(f"cache file {path} holds the crystal of shape {crystal.shape} at rank {crystal.rank}")
         return crystal

@@ -10,6 +10,11 @@ immediately left of an i-letter cancels (applied repeatedly); f_i turns
 the rightmost unmatched i into i+1, e_i turns the leftmost unmatched
 i+1 into i.
 
+One signature pass per (i, element) fills all five operator tables:
+f_i and e_i from the outermost unmatched letters, eps_i and phi_i as the
+numbers of unmatched i+1 and i letters, and s_i, which swaps those two
+numbers, by walking |phi_i - eps_i| steps along the new f_i or e_i row.
+
 On top of the simple operators the module provides the Weyl group
 action (s_i reverses each i-string), the modified operators
 f_a = w f_k w^{-1} with w = s_j ... s_{k-1} for a = a_{j,k}, and the
@@ -36,6 +41,7 @@ from .root_data import (
 
 TableauRows = tuple[tuple[int, ...], ...]
 OperatorTable = tuple[tuple[Optional[int], ...], ...]
+IntTable = tuple[tuple[int, ...], ...]
 
 DEFAULT_MAX_ELEMENTS = 2_000_000
 
@@ -136,22 +142,26 @@ def semistandard_tableaux(parts: tuple[int, ...], max_entry: int) -> Iterator[Ta
         return
     rows = [[0] * p for p in parts]
     cells = [(r, c) for r in range(len(parts)) for c in range(parts[r])]
-
-    def fill(pos: int) -> Iterator[TableauRows]:
-        if pos == len(cells):
-            yield tuple(tuple(row) for row in rows)
-            return
+    last = len(cells) - 1
+    # Depth-first without recursion, so a long row cannot exhaust the stack:
+    # the cell at pos holds its last entry tried; past max_entry, back up.
+    pos = 0
+    while pos >= 0:
         r, c = cells[pos]
-        lo = 1
-        if c > 0:
-            lo = rows[r][c - 1]
+        v = rows[r][c] + 1
+        if v > max_entry:
+            pos -= 1
+            continue
+        rows[r][c] = v
+        if pos == last:
+            yield tuple(tuple(row) for row in rows)
+            continue
+        pos += 1
+        r, c = cells[pos]
+        lo = rows[r][c - 1] if c > 0 else 1
         if r > 0:
             lo = max(lo, rows[r - 1][c] + 1)
-        for v in range(lo, max_entry + 1):
-            rows[r][c] = v
-            yield from fill(pos + 1)
-
-    yield from fill(0)
+        rows[r][c] = lo - 1
 
 
 def _unmatched_positions(
@@ -200,26 +210,30 @@ def conjugating_permutation(rank: int, beta: Root) -> Permutation:
 class Crystal:
     """The crystal of all semistandard tableaux of one shape.
 
-    Use :meth:`generate`; the constructor is internal.  Elements are
-    referred to by id.  Operator tables for f_i, e_i and the simple
-    Weyl action are precomputed; everything else is derived from them.
+    Use :meth:`generate`; the constructor, which takes the elements, is
+    internal.  Elements are referred to by id.  One signature pass fills
+    the f_i, e_i, eps_i, phi_i and s_i tables (s_i swaps the unmatched
+    exponents eps_i and phi_i); everything else is derived from them.
     """
 
-    def __init__(
-        self,
-        rank: int,
-        shape: Weight,
-        elements: tuple[TableauRows, ...],
-        f_table: OperatorTable,
-        e_table: OperatorTable,
-    ):
+    def __init__(self, rank: int, shape: Weight, elements: tuple[TableauRows, ...]):
         self.rank = rank
         self.shape = shape
         self.elements = elements
         self.weights = tuple(content(rows, rank) for rows in elements)
-        self._f = f_table
-        self._e = e_table
-        self._finish_tables()
+        self._f, self._e, self._eps, self._phi, self._si = _operator_tables(elements, rank)
+
+        by_weight: dict[Weight, list[int]] = {}
+        for x, mu in enumerate(self.weights):
+            by_weight.setdefault(mu, []).append(x)
+        self._by_weight = {mu: tuple(xs) for mu, xs in by_weight.items()}
+
+        tops = self._by_weight.get(self.shape, ())
+        if len(tops) != 1:
+            raise CrystalStructureError(f"{len(tops)} elements of highest weight, expected one")
+        self.highest = tops[0]
+        if any(self._e[i][self.highest] is not None for i in range(rank)):
+            raise CrystalStructureError("the highest-weight element is not killed by every e_i")
 
     # -- construction -------------------------------------------------
 
@@ -237,61 +251,7 @@ class Crystal:
         elements = tuple(semistandard_tableaux(lam, rank + 1))
         if len(elements) != dim:
             raise CrystalStructureError(f"{len(elements)} tableaux of shape {lam}, expected {dim}")
-        f_table, e_table = _operator_tables(elements, rank)
-        return cls(rank, lam, elements, f_table, e_table)
-
-    def _finish_tables(self) -> None:
-        n, size = self.rank, len(self.elements)
-        eps_table = []
-        phi_table = []
-        for i in range(1, n + 1):
-            eps_row = []
-            phi_row = []
-            for x in range(size):
-                e_steps = 0
-                y = self._e[i - 1][x]
-                while y is not None:
-                    e_steps += 1
-                    y = self._e[i - 1][y]
-                eps_row.append(e_steps)
-                f_steps = 0
-                y = self._f[i - 1][x]
-                while y is not None:
-                    f_steps += 1
-                    y = self._f[i - 1][y]
-                phi_row.append(f_steps)
-            eps_table.append(tuple(eps_row))
-            phi_table.append(tuple(phi_row))
-        self._eps = tuple(eps_table)
-        self._phi = tuple(phi_table)
-
-        si_table = []
-        for i in range(1, n + 1):
-            si_row = []
-            for x in range(size):
-                m = self._phi[i - 1][x] - self._eps[i - 1][x]
-                y = x
-                if m >= 0:
-                    for _ in range(m):
-                        y = self._f[i - 1][y]
-                else:
-                    for _ in range(-m):
-                        y = self._e[i - 1][y]
-                si_row.append(y)
-            si_table.append(tuple(si_row))
-        self._si = tuple(si_table)
-
-        by_weight: dict[Weight, list[int]] = {}
-        for x, mu in enumerate(self.weights):
-            by_weight.setdefault(mu, []).append(x)
-        self._by_weight = {mu: tuple(xs) for mu, xs in by_weight.items()}
-
-        tops = self._by_weight.get(self.shape, ())
-        if len(tops) != 1:
-            raise CrystalStructureError(f"{len(tops)} elements of highest weight, expected one")
-        self.highest = tops[0]
-        if any(self._e[i][self.highest] is not None for i in range(n)):
-            raise CrystalStructureError("the highest-weight element is not killed by every e_i")
+        return cls(rank, lam, elements)
 
     # -- simple operators ----------------------------------------------
 
@@ -421,7 +381,10 @@ class Crystal:
         ValueError too.
         """
         rank = _field(data, "rank", _is_int)
-        shape = normalize_shape(tuple(_field(data, "shape", _is_int_list)), rank)
+        stored_shape = _field(data, "shape", _is_int_list)
+        if len(stored_shape) != rank + 1:
+            raise ValueError(f"crystal payload has {len(stored_shape)} shape entries for rank {rank}")
+        shape = normalize_shape(tuple(stored_shape), rank)
         row_lengths = tuple(p for p in shape if p > 0)
         records = _field(data, "elements", lambda v: isinstance(v, list))
         for rec in records:
@@ -441,10 +404,10 @@ class Crystal:
                 raise ValueError(f"element {rec['id']} has inconsistent weight")
         if len(set(elements)) != len(elements):
             raise ValueError("elements repeat")
-        f_table, e_table = _operator_tables(elements, rank)
-        if _field(data, "edges", lambda v: isinstance(v, list)) != _edge_records(f_table):
+        crystal = cls(rank, shape, elements)
+        if _field(data, "edges", lambda v: isinstance(v, list)) != _edge_records(crystal._f):
             raise ValueError("stored edges differ from the operators on the stored elements")
-        return cls(rank, shape, elements, f_table, e_table)
+        return crystal
 
 
 def _is_int(value) -> bool:
@@ -464,8 +427,15 @@ def _field(record: object, key: str, well_typed) -> object:
     return record[key]
 
 
-def _operator_tables(elements: tuple[TableauRows, ...], rank: int) -> tuple[OperatorTable, OperatorTable]:
-    """The f_i and e_i tables by the signature rule; every image must be an element."""
+def _operator_tables(
+    elements: tuple[TableauRows, ...], rank: int
+) -> tuple[OperatorTable, OperatorTable, IntTable, IntTable, IntTable]:
+    """The f_i, e_i, eps_i, phi_i and s_i tables, one signature pass per (i, element).
+
+    eps_i and phi_i count the unmatched i+1 and i letters; s_i walks
+    |phi_i - eps_i| steps along the row's f_i or e_i table.  Every image
+    must be an element.
+    """
     index = {rows: x for x, rows in enumerate(elements)}
 
     def image_id(rows: TableauRows, pos: tuple[int, int], value: int) -> int:
@@ -475,18 +445,31 @@ def _operator_tables(elements: tuple[TableauRows, ...], rank: int) -> tuple[Oper
             raise CrystalStructureError(f"operator image {image} is missing from the element set")
         return y
 
-    f_table = []
-    e_table = []
+    f_table, e_table, eps_table, phi_table, si_table = [], [], [], [], []
     for i in range(1, rank + 1):
         f_row: list[Optional[int]] = []
         e_row: list[Optional[int]] = []
+        eps_row = []
+        phi_row = []
         for rows in elements:
             lo, hi = _unmatched_positions(rows, i)
             f_row.append(image_id(rows, lo[-1], i + 1) if lo else None)
             e_row.append(image_id(rows, hi[0], i) if hi else None)
+            eps_row.append(len(hi))
+            phi_row.append(len(lo))
+        si_row = []
+        for x, (eps, phi) in enumerate(zip(eps_row, phi_row)):
+            step = f_row if phi >= eps else e_row
+            y = x
+            for _ in range(abs(phi - eps)):
+                y = step[y]
+            si_row.append(y)
         f_table.append(tuple(f_row))
         e_table.append(tuple(e_row))
-    return tuple(f_table), tuple(e_table)
+        eps_table.append(tuple(eps_row))
+        phi_table.append(tuple(phi_row))
+        si_table.append(tuple(si_row))
+    return tuple(f_table), tuple(e_table), tuple(eps_table), tuple(phi_table), tuple(si_table)
 
 
 def _edge_records(f_table: OperatorTable) -> list[dict]:

@@ -373,11 +373,16 @@ def _out_in_missing_directory(path):
     return ("--out", str(path.parent / "missing" / "out.txt"))
 
 
+def _deeply_nested(path):
+    path.write_text("[" * 3000 + "]" * 3000, encoding="utf-8")
+    return ()
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
         _redirect_to_next, _redirect_out_of_range, _string_rows, _missing_weight, _list_payload,
-        _other_shape, _cache_is_directory, _out_in_missing_directory,
+        _other_shape, _cache_is_directory, _out_in_missing_directory, _deeply_nested,
     ],
 )
 def test_corrupted_cache_edge_exits_2(capsys, tmp_path, corrupt):

@@ -76,6 +76,11 @@ def test_generate_matches_brute_force(shape, rank):
     assert weyl_dimension(lam, rank) == len(expected)
 
 
+def test_generate_long_row():
+    """A row of 1,200 cells enumerates without one stack frame per cell."""
+    assert Crystal.generate((1200,), 1).size == 1201
+
+
 def test_generate_cap():
     with pytest.raises(CrystalSizeError, match="5"):
         Crystal.generate((2, 1, 0), 2, max_elements=5)
@@ -395,6 +400,8 @@ def test_json_round_trip(c210):
     assert rebuilt._f == c210._f
     assert rebuilt._e == c210._e
     assert rebuilt._si == c210._si
+    assert rebuilt._eps == c210._eps
+    assert rebuilt._phi == c210._phi
     assert rebuilt.to_json_dict() == c210.to_json_dict()
 
 
@@ -402,6 +409,14 @@ def test_from_json_rejects_corruption(c210):
     data = c210.to_json_dict()
     data["elements"][3]["weight"] = [9, 9, 9]
     with pytest.raises(ValueError):
+        Crystal.from_json_dict(data)
+
+
+def test_from_json_rejects_rank_beyond_shape(c210):
+    """The rank is checked against the stored shape before anything is sized by it."""
+    data = c210.to_json_dict()
+    data["rank"] = 10**6
+    with pytest.raises(ValueError, match="crystal payload has 3 shape entries for rank 1000000"):
         Crystal.from_json_dict(data)
 
 

@@ -6,9 +6,14 @@ their earlier forms, through root_vector, dominant_representative and a
 full difference vector; they are compared on every weight below each
 dominant weight of size <= 6 at ranks 1-3 (line_decompose on every pair
 of them, sizes mixed), errors and messages included.
+
+The crystal's eps_i, phi_i and s_i tables come from the signature rule;
+the references walk the i-strings of the f_i and e_i tables instead, on
+every element of every crystal of size <= 6 at ranks 1-4.
 """
 
 from crystalcharge.affine_graph import AffineCoroot, apply_affine_reflection, build_interval
+from crystalcharge.crystal import Crystal
 from crystalcharge.root_data import (
     bruhat_leq_dominant,
     dominant_representative,
@@ -45,6 +50,33 @@ def line_decompose_reference(mu, nu):
         raise ValueError(f"difference {diff} does not lie on a root line")
     a, b = support
     return diff[a], (a + 1, b)
+
+
+def string_length(op, i, x):
+    """How many times op(i, .) applies to x before it vanishes."""
+    steps = 0
+    x = op(i, x)
+    while x is not None:
+        steps += 1
+        x = op(i, x)
+    return steps
+
+
+def eps_reference(c, i, x):
+    return string_length(c.e, i, x)
+
+
+def phi_reference(c, i, x):
+    return string_length(c.f, i, x)
+
+
+def si_reference(c, i, x):
+    """Reverse the i-string: phi - eps steps of f_i, or eps - phi steps of e_i."""
+    m = phi_reference(c, i, x) - eps_reference(c, i, x)
+    op = c.f if m >= 0 else c.e
+    for _ in range(abs(m)):
+        x = op(i, x)
+    return x
 
 
 def outcome(f, *args):
@@ -99,3 +131,15 @@ def test_line_decompose_matches_reference():
         for mu in weights:
             for nu in weights:
                 assert outcome(line_decompose, mu, nu) == outcome(line_decompose_reference, mu, nu)
+
+
+def test_string_tables_match_string_walks():
+    for rank in (1, 2, 3, 4):
+        for size in range(7):
+            for lam in dominant_weights(rank, size):
+                c = Crystal.generate(lam, rank)
+                for i in range(1, rank + 1):
+                    for x in range(c.size):
+                        assert c.eps(i, x) == eps_reference(c, i, x)
+                        assert c.phi(i, x) == phi_reference(c, i, x)
+                        assert c.si(i, x) == si_reference(c, i, x)
