@@ -24,14 +24,27 @@ never reversed.
 
 All stages share the interval's vertices and edges, so
 `interval_graph(lam', rank)` builds them once, each edge with the
-reversal index of its label, and `.at(m)` gives the stage-m graph as a
-view that flips the edges with index <= m.
+reversal index of its label.  `.at(m)` gives the stage-m graph as a view
+that copies no edge: its in-degrees are the stage-0 ones corrected by the
+edges of index <= m, and its edge list is oriented only when read.
+
+An edge's label and orientation depend on its endpoints alone, never on
+lam', so for every dominant h below lam' the graph over I(h) is the
+induced subgraph of the graph over I(lam').  One interval graph serves a
+whole family of intervals: `.restrict(h)` keeps the vertices whose
+dominant representative lies below h and the edges whose stage-0 head
+does, in their order.  The direct `interval_graph(h)` stays the oracle
+for the restriction.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import compress
+from operator import itemgetter
 from typing import Union
 
 from .root_data import (
@@ -85,13 +98,26 @@ class AffineCoroot:
 
 @dataclass(frozen=True)
 class TwistedGraph:
-    """The stage-m twisted Bruhat graph on I(base); immutable."""
+    """The stage-m twisted Bruhat graph on I(base); immutable.
+
+    A view of `interval`: the in-degrees are its own, and the edge list is
+    oriented from the interval's edges on first read.
+    """
 
     base: Weight
     stage: Stage
     vertices: tuple[Weight, ...]
-    edges: tuple[tuple[Weight, Weight, AffineCoroot], ...]
     indegree: dict[Weight, int] = field(repr=False)
+    interval: IntervalGraph = field(repr=False, compare=False)
+
+    @cached_property
+    def edges(self) -> tuple[tuple[Weight, Weight, AffineCoroot], ...]:
+        """Every edge as (src, dst, label), in the interval's edge order."""
+        stage = self.stage
+        return tuple(
+            (dst, src, label) if index is not None and index <= stage else (src, dst, label)
+            for src, dst, label, index in self.interval.edges
+        )
 
     def arr(self, mu: Weight) -> int:
         """Number of arrows directed to mu."""
@@ -107,37 +133,117 @@ class IntervalGraph:
 
     Each edge (src, dst, label, index) is oriented as at stage 0 and
     carries the reversal index of its label, or None when the edge is
-    never reversed.  The largest index is the stabilization stage.
+    never reversed.  The remaining fields are derived from the edges:
+    the stage-0 in-degrees, the reversible edges as (index, src, dst)
+    sorted by index, and the largest index, which is the stabilization
+    stage.
     """
 
     base: Weight
     vertices: tuple[Weight, ...]
     edges: tuple[tuple[Weight, Weight, AffineCoroot, int | None], ...]
-    stabilization_stage: int
+    stabilization_stage: int = field(init=False)
+    indegree: dict[Weight, int] = field(init=False, repr=False, compare=False)
+    flips: tuple[tuple[int, Weight, Weight], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        indegree = dict.fromkeys(self.vertices, 0)
+        indegree.update(Counter(map(itemgetter(1), self.edges)))
+        flips = sorted(
+            ((index, src, dst) for src, dst, _, index in self.edges if index is not None),
+            key=itemgetter(0),
+        )
+        object.__setattr__(self, "stabilization_stage", flips[-1][0] if flips else 0)
+        object.__setattr__(self, "indegree", indegree)
+        object.__setattr__(self, "flips", tuple(flips))
 
     def at(self, stage: Stage) -> TwistedGraph:
         """The stage graph: edges with reversal index <= stage point the other way."""
         if stage != STAGE_INFINITY and (type(stage) is not int or stage < 0):
             raise ValueError(f"stage must be a nonnegative integer or infinity, got {stage!r}")
-        indegree = dict.fromkeys(self.vertices, 0)
-        edges = []
-        for src, dst, label, index in self.edges:
-            if index is not None and index <= stage:
-                src, dst = dst, src
-            edges.append((src, dst, label))
-            indegree[dst] += 1
-        return TwistedGraph(self.base, stage, self.vertices, tuple(edges), indegree)
+        indegree = dict(self.indegree)
+        for index, src, dst in self.flips:
+            if index > stage:
+                break
+            indegree[src] += 1
+            indegree[dst] -= 1
+        return TwistedGraph(self.base, stage, self.vertices, indegree, self)
+
+    def restrict(self, below: Weight) -> IntervalGraph:
+        """The graph over I(below), for a dominant weight below the base.
+
+        The tail of a stage-0 edge lies below its head, so the edges of
+        I(below) are exactly those whose stage-0 head lies in it.
+        """
+        h = tuple(below)
+        if h == self.base:
+            return self
+        if not is_dominant(h) or not bruhat_leq_dominant(h, self.base):
+            raise ValueError(f"{h} is not a dominant weight below {self.base}")
+        inside = set(dominant_interval(h, len(h) - 1)).__contains__
+        vertex_orbits, head_orbits = self._orbits
+        return IntervalGraph(
+            h,
+            tuple(compress(self.vertices, map(inside, vertex_orbits))),
+            tuple(compress(self.edges, map(inside, head_orbits))),
+        )
+
+    @cached_property
+    def _orbits(self) -> tuple[tuple[Weight, ...], tuple[Weight, ...]]:
+        """The dominant representative of each vertex, and of each edge's stage-0 head."""
+        orbit = {mu: tuple(sorted(mu, reverse=True)) for mu in self.vertices}
+        return tuple(orbit.values()), tuple(orbit[dst] for _, dst, _, _ in self.edges)
 
 
 def _rearrangements(mu: Weight) -> list[Weight]:
-    """The distinct rearrangements of mu, in lexicographic order."""
-    if not mu:
-        return [()]
-    return [
-        (v,) + rest
-        for v in sorted(set(mu))
-        for rest in _rearrangements(mu[: mu.index(v)] + mu[mu.index(v) + 1 :])
-    ]
+    """The distinct rearrangements of mu, in lexicographic order.
+
+    Steps through them with the classical next-permutation rule, so the
+    cost is per rearrangement and no call nests.
+    """
+    word = sorted(mu)
+    out = [tuple(word)]
+    while True:
+        i = len(word) - 2
+        while i >= 0 and word[i] >= word[i + 1]:
+            i -= 1
+        if i < 0:
+            return out
+        j = len(word) - 1
+        while word[j] <= word[i]:
+            j -= 1
+        word[i], word[j] = word[j], word[i]
+        word[i + 1 :] = reversed(word[i + 1 :])
+        out.append(tuple(word))
+
+
+def _check_base(lam: Weight, rank: int) -> None:
+    if len(lam) != rank + 1:
+        raise ValueError(f"weight {lam} has wrong length for rank {rank}")
+    if not is_dominant(lam):
+        raise ValueError(f"{lam} is not dominant")
+    if lam and lam[-1] < 0:
+        raise ValueError(f"{lam} has negative coordinates")
+
+
+def interval_size(lambda_prime: Weight, rank: int) -> int:
+    """The number of weights below lambda_prime, counted before any is built.
+
+    Sums the orbit size of each dominant weight below lambda_prime, the
+    multinomial coefficient of its multiplicities.
+
+    >>> interval_size((6, 5, 4, 3, 2, 1, 0), 6)
+    36961
+    """
+    lam = tuple(lambda_prime)
+    _check_base(lam, rank)
+    total = 0
+    for mu in dominant_interval(lam, rank):
+        orbit = math.factorial(rank + 1)
+        for count in Counter(mu).values():
+            orbit //= math.factorial(count)
+        total += orbit
+    return total
 
 
 def build_interval(lambda_prime: Weight, rank: int) -> tuple[Weight, ...]:
@@ -148,12 +254,7 @@ def build_interval(lambda_prime: Weight, rank: int) -> tuple[Weight, ...]:
     rearrangements of the dominant weights below lambda_prime.
     """
     lam = tuple(lambda_prime)
-    if len(lam) != rank + 1:
-        raise ValueError(f"weight {lam} has wrong length for rank {rank}")
-    if not is_dominant(lam):
-        raise ValueError(f"{lam} is not dominant")
-    if lam and lam[-1] < 0:
-        raise ValueError(f"{lam} has negative coordinates")
+    _check_base(lam, rank)
     return tuple(sorted(w for mu in dominant_interval(lam, rank) for w in _rearrangements(mu)))
 
 
@@ -187,8 +288,7 @@ def interval_graph(lambda_prime: Weight, rank: int | None = None) -> IntervalGra
                     entry = labels[key] = (label, label.reversal_index(n))
                 edges.append((src, dst, *entry))
                 step += 1
-    top = max((index for _, index in labels.values() if index is not None), default=0)
-    return IntervalGraph(lam, vertices, tuple(edges), top)
+    return IntervalGraph(lam, vertices, tuple(edges))
 
 
 def build_graph(lambda_prime: Weight, stage: Stage, rank: int | None = None) -> TwistedGraph:

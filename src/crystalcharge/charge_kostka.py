@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from math import factorial
 from typing import Iterable, Optional, Sequence
 
@@ -39,6 +38,7 @@ from .affine_graph import (
     TwistedGraph,
     apply_affine_reflection,
     build_graph,
+    interval_graph,
     stage_reflection,
 )
 from .atoms import AtomDecomposition, atomic_number, decompose
@@ -231,13 +231,19 @@ def recharge_table(
     decomposition: AtomDecomposition,
     stage: Stage,
 ) -> RechargeTable:
-    """Recharge values for all elements, one stage graph per atom highest weight."""
+    """Recharge values for all elements.
+
+    One interval graph over the crystal's highest weight is built; the
+    stage graph of each atom is a view of its restriction to the atom's
+    highest weight.
+    """
+    interval = interval_graph(crystal.shape, crystal.rank)
     views: dict[Weight, TwistedGraph] = {}
     values = {}
     for x in range(crystal.size):
         highest = decomposition.atom_of(x).highest_weight
         if highest not in views:
-            views[highest] = build_graph(highest, stage, crystal.rank)
+            views[highest] = interval.restrict(highest).at(stage)
         values[x] = recharge(crystal, decomposition, x, stage, views[highest])
     return RechargeTable(stage, values)
 
@@ -315,13 +321,20 @@ def ls_word_charge(word: Iterable[int]) -> int:
 
 
 def llt_gamma_raw(crystal: Crystal, x: int) -> int:
-    """The unnormalized double sum over the full Weyl group."""
+    """The unnormalized double sum over the full Weyl group.
+
+    Walks the orbit of x once, one s_i step per group element: S_(k+1)
+    is the disjoint union of the cosets s_j ... s_k S_k for j = k+1
+    (the empty product), k, ..., 1.
+    """
     n = crystal.rank
-    total = 0
-    for perm in permutations(range(n + 1)):
-        y = crystal.weyl_act(perm, x)
-        total += sum(i * min(crystal.eps(i, y), crystal.phi(i, y)) for i in range(1, n + 1))
-    return total
+    orbit = [x]
+    for k in range(1, n + 1):
+        for y in orbit[:]:
+            for i in range(k, 0, -1):
+                y = crystal.si(i, y)
+                orbit.append(y)
+    return sum(i * min(crystal.eps(i, y), crystal.phi(i, y)) for y in orbit for i in range(1, n + 1))
 
 
 def llt_gamma(crystal: Crystal, x: int) -> int:

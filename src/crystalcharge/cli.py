@@ -27,7 +27,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .affine_graph import STAGE_INFINITY, Stage, build_graph
+from .affine_graph import STAGE_INFINITY, Stage, build_graph, interval_size
 from .atoms import decompose
 from .charge_kostka import (
     KOSTKA_METHODS,
@@ -154,6 +154,11 @@ def _cmd_atoms(args) -> tuple[str, int]:
 def _cmd_graph(args) -> tuple[str, int]:
     lam = normalize_shape(_parse_csv(args.weight), args.rank)
     stage = _parse_stage(args.stage)
+    size = interval_size(lam, args.rank)
+    if size > args.max_elements:
+        raise ValueError(
+            f"interval below {lam} at rank {args.rank} has {size} weights, exceeding the cap of {args.max_elements}"
+        )
     graph = build_graph(lam, stage, args.rank)
     if args.format == "json":
         payload = {
@@ -246,13 +251,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add_common(p, fmt_choices=("text", "json"), with_crystal=True):
+    def add_common(p, fmt_choices=("text", "json"), with_cache=True):
         p.add_argument("--rank", type=int, required=True, help="rank n of the root system A_n")
         p.add_argument("--weight", type=str, required=True, help="partition, e.g. 2,1,0")
         p.add_argument("--format", choices=fmt_choices, default="text")
         p.add_argument("--out", type=str, default=None, help="write output to a file")
-        if with_crystal:
-            p.add_argument("--max-elements", type=int, default=DEFAULT_MAX_ELEMENTS)
+        p.add_argument("--max-elements", type=int, default=DEFAULT_MAX_ELEMENTS)
+        if with_cache:
             p.add_argument("--cache", type=str, default=None, help="crystal cache directory")
 
     p = sub.add_parser("kostka", help="Kostka-Foulkes polynomial K_{lambda,mu}(q)")
@@ -270,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_atoms)
 
     p = sub.add_parser("graph", help="twisted Bruhat graph over a dominant weight")
-    add_common(p, fmt_choices=("text", "dot", "json"), with_crystal=False)
+    add_common(p, fmt_choices=("text", "dot", "json"), with_cache=False)
     p.add_argument("--stage", type=str, default="0", help="stage: nonnegative integer or 'inf'")
     p.set_defaults(handler=_cmd_graph)
 

@@ -27,11 +27,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import factorial
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .affine_graph import (
     STAGE_INFINITY,
     AffineCoroot,
+    IntervalGraph,
     TwistedGraph,
     apply_affine_reflection,
     arr_infinity_formula,
@@ -115,6 +116,19 @@ def _sweep_crystals(rank, max_weight, max_elements) -> Iterator[tuple[Weight, Cr
     for shape in sweep_shapes(rank, max_weight):
         lam = normalize_shape(shape, rank)
         yield lam, Crystal.generate(lam, rank, max_elements)
+
+
+def _intervals(rank: int) -> Callable[[Weight], IntervalGraph]:
+    """I(lam) -> its interval graph, each a restriction of one graph over I((k,0,...,0)) per size k."""
+    graphs: dict[int, IntervalGraph] = {}
+
+    def below(lam: Weight) -> IntervalGraph:
+        size = sum(lam)
+        if size not in graphs:
+            graphs[size] = interval_graph((size,) + (0,) * rank, rank)
+        return graphs[size].restrict(lam)
+
+    return below
 
 
 # -- suite: oracles -----------------------------------------------------------
@@ -356,11 +370,12 @@ def _reflected_pairs(coroot: AffineCoroot, graph: TwistedGraph) -> Iterator[tupl
 
 
 def check_arrows(report: VerifyReport, rank: int, max_weight: int, max_elements: int) -> None:
+    below = _intervals(rank)
     infinity: dict[Weight, TwistedGraph] = {}
     for shape in sweep_shapes(rank, max_weight):
         lam = normalize_shape(shape, rank)
         base = f"n={rank} lam'={format_weight(lam)}"
-        interval = interval_graph(lam, rank)
+        interval = below(lam)
         stage_m = interval.stabilization_stage
         views = [interval.at(m) for m in range(stage_m + 1)]
 
@@ -416,10 +431,11 @@ def check_arrows(report: VerifyReport, rank: int, max_weight: int, max_elements:
 
 
 def check_gammam(report: VerifyReport, rank: int, max_weight: int, max_elements: int) -> None:
+    below = _intervals(rank)
     for shape in sweep_shapes(rank, max_weight):
         lam = normalize_shape(shape, rank)
         base = f"n={rank} lam'={format_weight(lam)}"
-        interval = interval_graph(lam, rank)
+        interval = below(lam)
         for m in range(interval.stabilization_stage):
             g = interval.at(m)
             bad = 0
@@ -441,14 +457,15 @@ def check_gammam(report: VerifyReport, rank: int, max_weight: int, max_elements:
 
 
 def check_swapping(report: VerifyReport, rank: int, max_weight: int, max_elements: int) -> None:
+    below = _intervals(rank)
+    views: dict[Weight, list[TwistedGraph]] = {}
     for lam, c in _sweep_crystals(rank, max_weight, max_elements):
         base = f"n={rank} lam={format_weight(lam)}"
         dec = decompose(c)
 
-        views: dict[Weight, list[TwistedGraph]] = {}
         for atom in dec.atoms:
             if atom.highest_weight not in views:
-                interval = interval_graph(atom.highest_weight, rank)
+                interval = below(atom.highest_weight)
                 views[atom.highest_weight] = [
                     interval.at(m) for m in range(interval.stabilization_stage + 1)
                 ]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from crystalcharge import affine_graph, charge_kostka, verify
 from crystalcharge.affine_graph import (
     STAGE_INFINITY,
     AffineCoroot,
@@ -10,18 +11,20 @@ from crystalcharge.affine_graph import (
     build_graph,
     build_interval,
     interval_graph,
+    interval_size,
     stabilization_stage,
     stage_reflection,
 )
 from crystalcharge.root_data import (
     LineOrder,
     bruhat_leq_dominant,
+    dominant_interval,
     length,
     line_compare,
     weyl_apply_weight,
     transposition,
 )
-from crystalcharge.verify import partitions, sweep_shapes
+from crystalcharge.verify import partitions, run_verify, sweep_shapes
 
 
 def graph_edge_set(graph):
@@ -61,6 +64,22 @@ def test_build_interval_at_high_rank_is_one_orbit():
     units = tuple(tuple(int(i == j) for i in range(12)) for j in reversed(range(12)))
     assert build_interval((1,) + (0,) * 11, 11) == units
     assert len(build_interval((2, 1) + (0,) * 18, 19)) == 20 * 19 + 20 * 19 * 18 // 6
+
+
+def test_build_interval_at_rank_600_does_not_recurse():
+    """One rearrangement step per weight, so a long weight needs no deep call stack."""
+    interval = build_interval((1,) + (0,) * 600, 600)
+    assert len(interval) == 601
+    assert interval[0] == (0,) * 600 + (1,)
+    assert interval[-1] == (1,) + (0,) * 600
+    assert list(interval) == sorted(interval)
+
+
+@pytest.mark.parametrize("rank, max_weight", [(1, 8), (2, 8), (3, 8), (4, 6)])
+def test_interval_size_counts_the_interval(rank, max_weight):
+    for shape in sweep_shapes(rank, max_weight):
+        lam = shape + (0,) * (rank + 1 - len(shape))
+        assert interval_size(lam, rank) == len(build_interval(lam, rank))
 
 
 def test_build_interval_rejects_non_dominant():
@@ -287,6 +306,73 @@ def test_interval_graph_views():
     fixed = [(src, dst) for src, dst, _, index in interval.edges if index is None]
     assert fixed
     assert set(fixed) <= {(src, dst) for src, dst, _ in interval.at(STAGE_INFINITY).edges}
+
+
+def assert_same_graph(restricted, direct):
+    """Equal vertices, edges in order, stabilization stage, and every stage view."""
+    assert restricted == direct
+    assert restricted.edges == direct.edges
+    for stage in [*range(direct.stabilization_stage + 1), STAGE_INFINITY]:
+        view, expected = restricted.at(stage), direct.at(stage)
+        assert view == expected
+        assert view.edges == expected.edges
+        counted = dict.fromkeys(view.vertices, 0)
+        for _, dst, _ in view.edges:
+            counted[dst] += 1
+        assert view.indegree == counted
+
+
+@pytest.mark.parametrize("rank, max_weight", [(1, 8), (2, 8), (3, 8), (4, 6)])
+def test_restriction_equals_direct_build(rank, max_weight):
+    """Over the acceptance sweep, I(lam) restricted to each dominant h <= lam is I(h)."""
+    for size in range(max_weight + 1):
+        direct = {}
+        for shape in partitions(size, rank + 1):
+            h = shape + (0,) * (rank + 1 - len(shape))
+            direct[h] = interval_graph(h, rank)
+        for lam, graph in direct.items():
+            for h in dominant_interval(lam, rank):
+                assert_same_graph(graph.restrict(h), direct[h])
+
+
+def test_restriction_rejects_weights_not_below():
+    graph = interval_graph((2, 1, 0), 2)
+    for h in [(3, 0, 0), (1, 2, 0), (2, 1, 0, 0), (1, 1, 0)]:
+        with pytest.raises(ValueError):
+            graph.restrict(h)
+
+
+def counting_interval_graph(monkeypatch, *modules):
+    """Route every interval_graph call through a counter of (rank, size) pairs."""
+    calls = []
+    direct = affine_graph.interval_graph
+
+    def counted(lambda_prime, rank=None):
+        calls.append((rank if rank is not None else len(lambda_prime) - 1, sum(lambda_prime)))
+        return direct(lambda_prime, rank)
+
+    for module in (affine_graph, *modules):
+        monkeypatch.setattr(module, "interval_graph", counted)
+    return calls
+
+
+@pytest.mark.parametrize("suite", ["arrows", "gammam", "swapping"])
+def test_verify_suite_builds_one_graph_per_size(monkeypatch, suite):
+    calls = counting_interval_graph(monkeypatch, verify)
+    report = run_verify(suite, 3, 5)
+    assert not report.failures
+    assert len(calls) == len(set(calls)) <= 6
+
+
+def test_recharge_table_builds_one_graph(monkeypatch):
+    from crystalcharge.atoms import decompose
+    from crystalcharge.crystal import Crystal
+
+    c = Crystal.generate((4, 2, 1, 0), 3)
+    dec = decompose(c)
+    calls = counting_interval_graph(monkeypatch, charge_kostka)
+    charge_kostka.recharge_table(c, dec, 2)
+    assert calls == [(3, 7)]
 
 
 def test_stabilization():

@@ -153,13 +153,21 @@ def test_recharge_with_supplied_graph(c210, dec210):
 
 
 def test_recharge_matches_table_free_reference(c210, dec210):
-    top = stabilization_stage((2, 1, 0))
-    for stage in [*range(top + 1), STAGE_INFINITY]:
-        table = recharge_table(c210, dec210, stage)
-        for x in range(c210.size):
-            view = interval_graph(dec210.atom_of(x).highest_weight).at(stage)
-            expected = atomic_number(c210, x) - view.arr(c210.weights[x])
-            assert recharge(c210, dec210, x, stage) == table.values[x] == expected
+    """recharge_table restricts one graph; the reference builds each atom's interval directly."""
+    c4210 = Crystal.generate((4, 2, 1, 0), 3)
+    dec4210 = decompose(c4210)
+    assert len({atom.highest_weight for atom in dec4210.atoms}) == 5
+    for c, dec in ((c210, dec210), (c4210, dec4210)):
+        top = stabilization_stage(c.shape)
+        for stage in [*range(top + 1), STAGE_INFINITY]:
+            table = recharge_table(c, dec, stage)
+            views = {atom.highest_weight: interval_graph(atom.highest_weight).at(stage) for atom in dec.atoms}
+            for x in range(c.size):
+                view = views[dec.atom_of(x).highest_weight]
+                expected = atomic_number(c, x) - view.arr(c.weights[x])
+                assert recharge(c, dec, x, stage, view) == table.values[x] == expected
+                if c is c210:
+                    assert recharge(c, dec, x, stage) == expected
 
 
 def test_recharge_infinity_endpoint(c210, dec210):

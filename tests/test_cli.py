@@ -145,6 +145,27 @@ def test_graph_rejects_bad_stage(capsys):
     assert "stage" in err
 
 
+def test_graph_past_the_interval_cap_exits_2(capsys):
+    """36,961 weights lie below (6,5,4,3,2,1,0); the cap is checked before any is built."""
+    status, out, err = run_cli(
+        capsys, "graph", "--rank", "6", "--weight", "6,5,4,3,2,1,0", "--max-elements", "10000"
+    )
+    assert status == 2
+    assert out == ""
+    assert err == (
+        "error: interval below (6, 5, 4, 3, 2, 1, 0) at rank 6 has 36961 weights, "
+        "exceeding the cap of 10000\n"
+    )
+
+
+def test_graph_within_the_interval_cap(capsys):
+    status, out, _ = run_cli(
+        capsys, "graph", "--rank", "1", "--weight", "2,0", "--max-elements", "3"
+    )
+    assert status == 0
+    assert out.startswith("# graph base=2,0 stage=0 vertices=3\n")
+
+
 # -- recharge and hecke -----------------------------------------------------------
 
 

@@ -35,6 +35,11 @@ GOLDEN = [
     ("graph --rank 3 --weight 3,1,0,0 --stage 1 --format json", 0, "04e05185dd3fc09fff3e18ce416fee585f5d37e6185e967f21a2cda5a5287a06"),
     ("verify --suite strings --rank 3 --max-weight 5", 0, "bb62818804950bf330898a2e6b62f67971df0383ab7568691fa6e074839245bb"),
     ("verify --suite atoms --rank 3 --max-weight 5", 0, "7b90bc965c69a76d5cdde39d0f600e92d9482bbf3afe5bc7b1cf3d6e24949765"),
+    ("recharge --rank 3 --weight 4,2,1,0 --stage 2 --format json", 0, "39a7c40cae137d5108b232556be16a65002d9f458eefbabe52cd3a20d114ba94"),
+    ("recharge --rank 3 --weight 4,2,1,0 --stage inf", 0, "42f827cee4dfaab83ac353175590679bd2269a51965c07d64b29320603fe68cf"),
+    ("verify --suite arrows --rank 3 --max-weight 5", 0, "00cb8115499887b3b666a63fffeb4a49aa1ea0a4562ae08815f9fc69543289c8"),
+    ("verify --suite gammam --rank 3 --max-weight 5", 0, "151c1ee5a1f45214911a9a5603ce0953b4058e47c40fccc3691f94efd3c17f44"),
+    ("verify --suite swapping --rank 3 --max-weight 5", 0, "6cb7298a2e3f06e867e8a519f043ccca06042b0c845c1907e25ede662edef374"),
 ]
 
 

@@ -10,9 +10,16 @@ of them, sizes mixed), errors and messages included.
 The crystal's eps_i, phi_i and s_i tables come from the signature rule;
 the references walk the i-strings of the f_i and e_i tables instead, on
 every element of every crystal of size <= 6 at ranks 1-4.
+
+llt_gamma_raw walks the Weyl orbit of an element once along a coset
+tree; the reference reduces each of the (n+1)! permutations to a word
+and applies it, on the same elements.
 """
 
+from itertools import permutations
+
 from crystalcharge.affine_graph import AffineCoroot, apply_affine_reflection, build_interval
+from crystalcharge.charge_kostka import llt_gamma_raw
 from crystalcharge.crystal import Crystal
 from crystalcharge.root_data import (
     bruhat_leq_dominant,
@@ -79,6 +86,15 @@ def si_reference(c, i, x):
     return x
 
 
+def llt_gamma_raw_reference(c, x):
+    n = c.rank
+    total = 0
+    for perm in permutations(range(n + 1)):
+        y = c.weyl_act(perm, x)
+        total += sum(i * min(c.eps(i, y), c.phi(i, y)) for i in range(1, n + 1))
+    return total
+
+
 def outcome(f, *args):
     try:
         return "value", f(*args)
@@ -143,3 +159,12 @@ def test_string_tables_match_string_walks():
                         assert c.eps(i, x) == eps_reference(c, i, x)
                         assert c.phi(i, x) == phi_reference(c, i, x)
                         assert c.si(i, x) == si_reference(c, i, x)
+
+
+def test_llt_gamma_raw_matches_per_permutation_sum():
+    for rank in (1, 2, 3, 4):
+        for size in range(7):
+            for lam in dominant_weights(rank, size):
+                c = Crystal.generate(lam, rank)
+                for x in range(c.size):
+                    assert llt_gamma_raw(c, x) == llt_gamma_raw_reference(c, x)
