@@ -15,12 +15,14 @@ Weights are entered as comma-separated partitions and the rank is
 always explicit, since the same partition means different crystals at
 different ranks.  Output is deterministic: identical invocations
 produce byte-identical results.  Exit codes: 0 success, 1 verification
-failure, 2 invalid input or a file that cannot be read or written.
+failure, 2 invalid input, a crystal or interval past --max-elements, or
+an --out file that cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -35,7 +37,7 @@ from .charge_kostka import (
     kostka,
     recharge_table,
 )
-from .crystal import DEFAULT_MAX_ELEMENTS, Crystal, capped_dimension, normalize_shape
+from .crystal import DEFAULT_MAX_ELEMENTS, Crystal, normalize_shape
 from .root_data import format_weight
 from .verify import SUITES, run_verify
 
@@ -68,35 +70,28 @@ def _dumps(obj) -> str:
 
 
 def _load_crystal(args) -> Crystal:
-    lam = normalize_shape(_parse_csv(args.weight), args.rank)
-    cache_dir = getattr(args, "cache", None)
-    if cache_dir is None:
-        return Crystal.generate(lam, args.rank, args.max_elements)
-    path = Path(cache_dir) / f"crystal_r{args.rank}_{'-'.join(map(str, lam))}.json"
-    if path.exists():
-        capped_dimension(lam, args.rank, args.max_elements)
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except RecursionError:
-            raise ValueError(f"cache file {path} nests too deeply to be a crystal")
-        crystal = Crystal.from_json_dict(data)
-        if (crystal.rank, crystal.shape) != (args.rank, lam):
-            raise ValueError(f"cache file {path} holds the crystal of shape {crystal.shape} at rank {crystal.rank}")
-        return crystal
-    crystal = Crystal.generate(lam, args.rank, args.max_elements)
-    _write_atomically(path, _dumps(crystal.to_json_dict()))
-    return crystal
+    return Crystal.generate(_parse_csv(args.weight), args.rank, args.max_elements)
 
 
-def _write_atomically(path: Path, text: str) -> None:
-    """Write through a temporary file in path's directory, so a failed write leaves no file."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+def _write_out(path: Path, text: str) -> None:
+    """Write through a temporary file beside path, so a failed write leaves no file.
+
+    Only regular files are replaced: a symlink is followed, and a device or
+    pipe is written directly.  An OSError names path, not the temporary file.
+    """
+    if path.exists() and not path.is_file():
+        path.write_text(text, encoding="utf-8")
+        return
+    target = path.resolve() if path.is_symlink() else path
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
         tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
+        os.replace(tmp, target)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
         raise
 
 
@@ -251,14 +246,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add_common(p, fmt_choices=("text", "json"), with_cache=True):
+    def add_common(p, fmt_choices=("text", "json")):
         p.add_argument("--rank", type=int, required=True, help="rank n of the root system A_n")
         p.add_argument("--weight", type=str, required=True, help="partition, e.g. 2,1,0")
         p.add_argument("--format", choices=fmt_choices, default="text")
         p.add_argument("--out", type=str, default=None, help="write output to a file")
         p.add_argument("--max-elements", type=int, default=DEFAULT_MAX_ELEMENTS)
-        if with_cache:
-            p.add_argument("--cache", type=str, default=None, help="crystal cache directory")
 
     p = sub.add_parser("kostka", help="Kostka-Foulkes polynomial K_{lambda,mu}(q)")
     add_common(p)
@@ -275,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_atoms)
 
     p = sub.add_parser("graph", help="twisted Bruhat graph over a dominant weight")
-    add_common(p, fmt_choices=("text", "dot", "json"), with_cache=False)
+    add_common(p, fmt_choices=("text", "dot", "json"))
     p.add_argument("--stage", type=str, default="0", help="stage: nonnegative integer or 'inf'")
     p.set_defaults(handler=_cmd_graph)
 
@@ -309,7 +302,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         text, status = args.handler(args)
         out_path = getattr(args, "out", None)
         if out_path is not None:
-            Path(out_path).write_text(text, encoding="utf-8")
+            _write_out(Path(out_path), text)
         else:
             sys.stdout.write(text)
     except (ValueError, ArithmeticError, OSError) as exc:

@@ -27,8 +27,8 @@ call from any number of threads.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
+from math import comb
 from typing import Iterator, NamedTuple, Optional
 
 from .root_data import (
@@ -81,28 +81,27 @@ def normalize_shape(parts: tuple[int, ...], rank: int) -> Weight:
 def weyl_dimension(shape: tuple[int, ...], rank: int) -> int:
     """Number of semistandard tableaux of the shape with entries <= rank+1.
 
+    Weyl's product over rows i < j of (lam_i - lam_j + j - i) / (j - i),
+    in integers.  Equal parts give 1, and a block of equal parts in rows
+    s..e-1 below row i gives C(d + e-1-i, d) / C(d + s-1-i, d), where d
+    is the difference of the parts.  So the cost follows the distinct
+    parts, not the rank (as pair by pair) or the part sizes (as cell by cell).
+
     >>> weyl_dimension((2, 1, 0), 2)
     8
     """
     lam = normalize_shape(shape, rank)
-    size = rank + 1
-    dim = Fraction(1)
-    for i in range(size):
-        for j in range(i + 1, size):
-            dim *= Fraction(lam[i] - lam[j] + j - i, j - i)
-    if dim.denominator != 1:
-        raise CrystalStructureError(f"Weyl dimension {dim} of shape {lam} is not an integer")
-    return int(dim)
-
-
-def capped_dimension(lam: Weight, rank: int, max_elements: int) -> int:
-    """The Weyl dimension of a normalized shape; CrystalSizeError above max_elements."""
-    dim = weyl_dimension(lam, rank)
-    if dim > max_elements:
-        raise CrystalSizeError(
-            f"crystal of shape {lam} at rank {rank} has {dim} elements, "
-            f"exceeding the cap of {max_elements}"
-        )
+    starts = [r for r in range(1, rank + 1) if lam[r] != lam[r - 1]]
+    numerator = denominator = 1
+    for i in range(starts[-1] if starts else 0):
+        for s, e in zip(starts, starts[1:] + [rank + 1]):
+            if s > i:
+                d = lam[i] - lam[s]
+                numerator *= comb(d + e - 1 - i, d)
+                denominator *= comb(d + s - 1 - i, d)
+    dim, remainder = divmod(numerator, denominator)
+    if remainder:
+        raise CrystalStructureError(f"Weyl dimension of shape {lam} is not an integer")
     return dim
 
 
@@ -247,7 +246,11 @@ class Crystal:
         max_elements.
         """
         lam = normalize_shape(shape, rank)
-        dim = capped_dimension(lam, rank, max_elements)
+        dim = weyl_dimension(lam, rank)
+        if dim > max_elements:
+            raise CrystalSizeError(
+                f"crystal of shape {lam} at rank {rank} has {dim} elements, exceeding the cap of {max_elements}"
+            )
         elements = tuple(semistandard_tableaux(lam, rank + 1))
         if len(elements) != dim:
             raise CrystalStructureError(f"{len(elements)} tableaux of shape {lam}, expected {dim}")
@@ -366,65 +369,13 @@ class Crystal:
                 {"id": x, "rows": [list(row) for row in rows], "weight": list(self.weights[x])}
                 for x, rows in enumerate(self.elements)
             ],
-            "edges": _edge_records(self._f),
+            "edges": [
+                {"i": i, "from": x, "to": y}
+                for i, row in enumerate(self._f, start=1)
+                for x, y in enumerate(row)
+                if y is not None
+            ],
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Crystal":
-        """Rebuild a crystal from :meth:`to_json_dict` output.
-
-        Contents are revalidated so that a corrupted dump fails loudly:
-        every element must be a distinct semistandard tableau of the
-        shape, and the stored edges must be those the signature rule
-        gives on the stored elements.  A payload that is not shaped like
-        that output (a missing key, a string for an integer) raises
-        ValueError too.
-        """
-        rank = _field(data, "rank", _is_int)
-        stored_shape = _field(data, "shape", _is_int_list)
-        if len(stored_shape) != rank + 1:
-            raise ValueError(f"crystal payload has {len(stored_shape)} shape entries for rank {rank}")
-        shape = normalize_shape(tuple(stored_shape), rank)
-        row_lengths = tuple(p for p in shape if p > 0)
-        records = _field(data, "elements", lambda v: isinstance(v, list))
-        for rec in records:
-            _field(rec, "id", _is_int)
-            _field(rec, "rows", lambda v: isinstance(v, list) and all(map(_is_int_list, v)))
-            _field(rec, "weight", _is_int_list)
-        records = sorted(records, key=lambda rec: rec["id"])
-        if [rec["id"] for rec in records] != list(range(len(records))):
-            raise ValueError("element ids must be 0..size-1")
-        elements = tuple(tuple(tuple(row) for row in rec["rows"]) for rec in records)
-        for rec, rows in zip(records, elements):
-            if tuple(len(row) for row in rows) != row_lengths:
-                raise ValueError(f"element {rec['id']} does not have shape {shape}")
-            if not is_semistandard(rows, rank + 1):
-                raise ValueError(f"element {rec['id']} is not semistandard")
-            if tuple(rec["weight"]) != content(rows, rank):
-                raise ValueError(f"element {rec['id']} has inconsistent weight")
-        if len(set(elements)) != len(elements):
-            raise ValueError("elements repeat")
-        crystal = cls(rank, shape, elements)
-        if _field(data, "edges", lambda v: isinstance(v, list)) != _edge_records(crystal._f):
-            raise ValueError("stored edges differ from the operators on the stored elements")
-        return crystal
-
-
-def _is_int(value) -> bool:
-    return type(value) is int
-
-
-def _is_int_list(value) -> bool:
-    return isinstance(value, list) and all(type(v) is int for v in value)
-
-
-def _field(record: object, key: str, well_typed) -> object:
-    """record[key]; ValueError unless record is a dict whose key passes well_typed."""
-    if not isinstance(record, dict) or key not in record:
-        raise ValueError(f"crystal payload lacks {key!r}")
-    if not well_typed(record[key]):
-        raise ValueError(f"crystal payload has a malformed {key!r}")
-    return record[key]
 
 
 def _operator_tables(
@@ -470,13 +421,3 @@ def _operator_tables(
         phi_table.append(tuple(phi_row))
         si_table.append(tuple(si_row))
     return tuple(f_table), tuple(e_table), tuple(eps_table), tuple(phi_table), tuple(si_table)
-
-
-def _edge_records(f_table: OperatorTable) -> list[dict]:
-    """The f-edges as JSON records, by i and then source id."""
-    return [
-        {"i": i, "from": x, "to": y}
-        for i, row in enumerate(f_table, start=1)
-        for x, y in enumerate(row)
-        if y is not None
-    ]

@@ -9,8 +9,6 @@ cases by check family, and every family the seven suites record
 belongs to exactly one criterion.
 """
 
-import json
-
 import pytest
 
 from crystalcharge import cli
@@ -137,7 +135,7 @@ def test_criterion_11_crystal_layer_lemmas(suites, capsys):
     _conclude(capsys, 11, "pairing identity, string sums, conjugator independence, commutation", suites)
 
 
-def test_criterion_12_cli_determinism(tmp_path, capsys):
+def test_criterion_12_cli_determinism(capsys):
     invocations = [
         ["kostka", "--rank", "2", "--weight", "3,2,1", "--mu", "2,2,2"],
         ["atoms", "--rank", "2", "--weight", "3,1,0", "--format", "json"],
@@ -155,25 +153,11 @@ def test_criterion_12_cli_determinism(tmp_path, capsys):
         if first != second or first_status != second_status:
             failures.append(argv)
 
-    cache = str(tmp_path / "cache")
-    argv = ["crystal", "--rank", "2", "--weight", "3,2,0", "--format", "json", "--cache", cache]
-    cli.main(argv)
-    fresh = capsys.readouterr().out
-    cli.main(argv)
-    cached = capsys.readouterr().out
-    cache_file = next((tmp_path / "cache").iterdir())
-    if fresh != cached:
-        failures.append("cache replay differs")
-    if cache_file.read_text(encoding="utf-8") != fresh:
-        failures.append("cache file differs from dump")
-    if json.loads(fresh)["edges"] != json.loads(cached)["edges"]:
-        failures.append("edge tables differ")
-
     status = "PASS" if not failures else "FAIL"
     with capsys.disabled():
         print(
-            f"[criterion 12] {status} CLI byte-determinism and bit-exact cache replay "
-            f"(cases={len(invocations) + 3}, failures={len(failures)})"
+            f"[criterion 12] {status} CLI byte-determinism "
+            f"(cases={len(invocations)}, failures={len(failures)})"
         )
     assert not failures, failures
 

@@ -1,7 +1,8 @@
 """Tests for the command-line interface: outputs, exit codes, determinism."""
 
-import functools
 import json
+import os
+import stat
 from pathlib import Path
 
 import pytest
@@ -301,141 +302,40 @@ def test_crystal_json_round_trip(capsys):
         capsys, "crystal", "--rank", "2", "--weight", "2,1,0", "--format", "json"
     )
     assert status == 0
-    rebuilt = Crystal.from_json_dict(json.loads(out))
+    data = json.loads(out)
     reference = Crystal.generate((2, 1, 0), 2)
-    assert rebuilt._f == reference._f
-    assert rebuilt._e == reference._e
-    assert rebuilt.elements == reference.elements
+    assert [rec["id"] for rec in data["elements"]] == list(range(reference.size))
+    assert tuple(tuple(map(tuple, rec["rows"])) for rec in data["elements"]) == reference.elements
+    assert [(edge["i"], edge["from"], edge["to"]) for edge in data["edges"]] == [
+        (i, x, reference.f(i, x))
+        for i in (1, 2)
+        for x in range(reference.size)
+        if reference.f(i, x) is not None
+    ]
 
 
-def test_cache_round_trip(capsys, tmp_path):
-    cache = str(tmp_path / "cache")
-    argv = (
-        "crystal", "--rank", "2", "--weight", "2,1,0", "--format", "json",
-        "--cache", cache,
+def test_cache_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["kostka", "--rank", "2", "--weight", "2,1,0", "--mu", "1,1,1", "--cache", "d"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cache d" in capsys.readouterr().err
+
+
+def test_out_in_missing_directory_exits_2(capsys, tmp_path):
+    target = tmp_path / "missing" / "out.txt"
+    status, out, err = run_cli(
+        capsys, "kostka", "--rank", "2", "--weight", "2,1,0", "--mu", "1,1,1", "--out", str(target)
     )
-    first = run_cli(capsys, *argv)
-    cache_files = list((tmp_path / "cache").iterdir())
-    assert len(cache_files) == 1
-    second = run_cli(capsys, *argv)  # served from cache
-    assert first == second
-    plain = run_cli(
-        capsys, "crystal", "--rank", "2", "--weight", "2,1,0", "--format", "json"
-    )
-    assert plain[1] == first[1]
-    # cached bytes equal the dump itself
-    assert cache_files[0].read_text(encoding="utf-8") == first[1]
-
-
-def test_cache_speeds_up_kostka(capsys, tmp_path):
-    cache = str(tmp_path / "cache")
-    argv = (
-        "kostka", "--rank", "2", "--weight", "3,2,0", "--mu", "2,2,1",
-        "--cache", cache,
-    )
-    first = run_cli(capsys, *argv)
-    second = run_cli(capsys, *argv)
-    assert first == second == (0, "q^2 + q\n", "")
-
-
-def _rewrite(edit):
-    """A hook that replaces the cache file's payload by edit(payload)."""
-
-    @functools.wraps(edit)
-    def hook(path):
-        data = json.loads(path.read_text(encoding="utf-8"))
-        path.write_text(json.dumps(edit(data)), encoding="utf-8")
-        return ()
-
-    return hook
-
-
-@_rewrite
-def _redirect_to_next(data):
-    data["edges"][0]["to"] = (data["edges"][0]["to"] + 1) % 8
-    return data
-
-
-@_rewrite
-def _redirect_out_of_range(data):
-    data["edges"][0]["to"] = 10**6
-    return data
-
-
-@_rewrite
-def _string_rows(data):
-    data["elements"][1]["rows"] = [["1", "1"], ["2"]]
-    return data
-
-
-@_rewrite
-def _missing_weight(data):
-    del data["elements"][2]["weight"]
-    return data
-
-
-@_rewrite
-def _list_payload(data):
-    return list(data.values())
-
-
-@_rewrite
-def _other_shape(data):
-    return Crystal.generate((3, 0, 0), 2).to_json_dict()
-
-
-def _cache_is_directory(path):
-    path.unlink()
-    path.mkdir()
-    return ()
-
-
-def _out_in_missing_directory(path):
-    return ("--out", str(path.parent / "missing" / "out.txt"))
-
-
-def _deeply_nested(path):
-    path.write_text("[" * 3000 + "]" * 3000, encoding="utf-8")
-    return ()
-
-
-@pytest.mark.parametrize(
-    "corrupt",
-    [
-        _redirect_to_next, _redirect_out_of_range, _string_rows, _missing_weight, _list_payload,
-        _other_shape, _cache_is_directory, _out_in_missing_directory, _deeply_nested,
-    ],
-)
-def test_corrupted_cache_edge_exits_2(capsys, tmp_path, corrupt):
-    """Each hook damages the cache file (or the output path) and returns extra arguments."""
-    cache = str(tmp_path / "cache")
-    argv = (
-        "kostka", "--rank", "2", "--weight", "2,1,0", "--mu", "1,1,1",
-        "--cache", cache,
-    )
-    assert run_cli(capsys, *argv) == (0, "q^2 + q\n", "")
-    path = next((tmp_path / "cache").iterdir())
-    status, out, err = run_cli(capsys, *argv, *corrupt(path))
-    assert status == 2
-    assert out == ""
+    assert (status, out) == (2, "")
     assert err.startswith("error:")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
-def test_cache_replay_respects_size_cap(capsys, tmp_path):
-    argv = ("crystal", "--rank", "2", "--weight", "2,1,0", "--cache", str(tmp_path))
-    assert run_cli(capsys, *argv)[0] == 0
-    status, out, err = run_cli(capsys, *argv, "--max-elements", "3")
-    assert (status, out) == (2, "")
-    assert "cap" in err
-
-
-def test_failed_cache_write_leaves_no_file(capsys, tmp_path, monkeypatch):
-    argv = (
-        "kostka", "--rank", "2", "--weight", "2,1,0", "--mu", "1,1,1",
-        "--cache", str(tmp_path),
-    )
+def test_failed_out_write_leaves_no_file(capsys, tmp_path, monkeypatch):
+    target = tmp_path / "out.txt"
+    argv = ("kostka", "--rank", "2", "--weight", "2,1,0", "--mu", "1,1,1", "--out", str(target))
     write_text = Path.write_text
 
     def write_half(self, text, *args, **kwargs):
@@ -446,10 +346,32 @@ def test_failed_cache_write_leaves_no_file(capsys, tmp_path, monkeypatch):
     status, out, err = run_cli(capsys, *argv)
     monkeypatch.undo()
     assert (status, out) == (2, "")
-    assert err == "error: [Errno 28] No space left on device\n"
+    assert err == f"error: [Errno 28] No space left on device: '{target}'\n"
     assert list(tmp_path.iterdir()) == []
-    assert run_cli(capsys, *argv) == (0, "q^2 + q\n", "")
-    assert [path.name for path in tmp_path.iterdir()] == ["crystal_r2_2-1-0.json"]
+    assert run_cli(capsys, *argv) == (0, "", "")
+    assert [path.name for path in tmp_path.iterdir()] == ["out.txt"]
+    assert target.read_text(encoding="utf-8") == "q^2 + q\n"
+
+
+def test_out_follows_symlink_and_writes_pipes_directly(capsys, tmp_path):
+    argv = ("kostka", "--rank", "2", "--weight", "2,1,0", "--mu", "1,1,1", "--out")
+    real = tmp_path / "real.txt"
+    link = tmp_path / "link.txt"
+    link.symlink_to(real)
+    assert run_cli(capsys, *argv, str(link)) == (0, "", "")
+    assert link.is_symlink()
+    assert real.read_text(encoding="utf-8") == "q^2 + q\n"
+
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert run_cli(capsys, *argv, str(fifo)) == (0, "", "")
+        assert os.read(reader, 1024) == b"q^2 + q\n"
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["fifo", "link.txt", "real.txt"]
 
 
 def test_out_flag_writes_file(capsys, tmp_path):

@@ -5,6 +5,10 @@ entry may be rewritten only together with a note saying which outputs
 changed and why; print the current digests with
 
     PYTHONPATH=src python tests/test_cli_golden.py
+
+GOLDEN_ERRORS pins the documented exit-2 cases the same way, with their
+exact stderr.  They run in an empty working directory, so a relative
+--out path appears in the message as given.
 """
 
 import contextlib
@@ -42,6 +46,14 @@ GOLDEN = [
     ("verify --suite swapping --rank 3 --max-weight 5", 0, "6cb7298a2e3f06e867e8a519f043ccca06042b0c845c1907e25ede662edef374"),
 ]
 
+GOLDEN_ERRORS = [
+    ("kostka --rank 2 --weight 1,2,0 --mu 1,1,1", 2, "error: shape (1, 2, 0) is not weakly decreasing\n"),
+    ("crystal --rank 2 --weight 2,x,0", 2, "error: expected a comma-separated integer list, got '2,x,0'\n"),
+    ("crystal --rank 2 --weight 2,1,0 --max-elements 3", 2, "error: crystal of shape (2, 1, 0) at rank 2 has 8 elements, exceeding the cap of 3\n"),
+    ("graph --rank 2 --weight 2,1,0 --max-elements 3", 2, "error: interval below (2, 1, 0) at rank 2 has 7 weights, exceeding the cap of 3\n"),
+    ("kostka --rank 2 --weight 2,1,0 --mu 1,1,1 --out missing/out.txt", 2, "error: [Errno 2] No such file or directory: 'missing/out.txt'\n"),
+]
+
 
 def run(command: str) -> tuple[int, str]:
     out = io.StringIO()
@@ -53,6 +65,14 @@ def run(command: str) -> tuple[int, str]:
 @pytest.mark.parametrize("command, status, digest", GOLDEN, ids=[g[0] for g in GOLDEN])
 def test_golden_output(command, status, digest):
     assert run(command) == (status, digest)
+
+
+@pytest.mark.parametrize("command, status, stderr", GOLDEN_ERRORS, ids=[g[0] for g in GOLDEN_ERRORS])
+def test_golden_error(command, status, stderr, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(command.split()) == status
+    assert capsys.readouterr() == ("", stderr)
+    assert list(tmp_path.iterdir()) == []
 
 
 if __name__ == "__main__":

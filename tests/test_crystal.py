@@ -76,6 +76,12 @@ def test_generate_matches_brute_force(shape, rank):
     assert weyl_dimension(lam, rank) == len(expected)
 
 
+def test_weyl_dimension_at_large_rank():
+    """The zero rows form one block, so a large rank costs one binomial per nonzero row."""
+    assert weyl_dimension((2, 1), 5000) == 41_691_670_000
+    assert weyl_dimension((1,), 1000) == 1001
+
+
 def test_generate_long_row():
     """A row of 1,200 cells enumerates without one stack frame per cell."""
     assert Crystal.generate((1200,), 1).size == 1201
@@ -391,33 +397,6 @@ def test_tilde_commutation_on_dominant(c210):
 
 
 # -- serialization --------------------------------------------------------------------------
-
-
-def test_json_round_trip(c210):
-    rebuilt = Crystal.from_json_dict(c210.to_json_dict())
-    assert rebuilt.elements == c210.elements
-    assert rebuilt.weights == c210.weights
-    assert rebuilt._f == c210._f
-    assert rebuilt._e == c210._e
-    assert rebuilt._si == c210._si
-    assert rebuilt._eps == c210._eps
-    assert rebuilt._phi == c210._phi
-    assert rebuilt.to_json_dict() == c210.to_json_dict()
-
-
-def test_from_json_rejects_corruption(c210):
-    data = c210.to_json_dict()
-    data["elements"][3]["weight"] = [9, 9, 9]
-    with pytest.raises(ValueError):
-        Crystal.from_json_dict(data)
-
-
-def test_from_json_rejects_rank_beyond_shape(c210):
-    """The rank is checked against the stored shape before anything is sized by it."""
-    data = c210.to_json_dict()
-    data["rank"] = 10**6
-    with pytest.raises(ValueError, match="crystal payload has 3 shape entries for rank 1000000"):
-        Crystal.from_json_dict(data)
 
 
 def test_enumeration_is_deterministic():
