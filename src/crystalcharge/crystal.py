@@ -10,10 +10,15 @@ immediately left of an i-letter cancels (applied repeatedly); f_i turns
 the rightmost unmatched i into i+1, e_i turns the leftmost unmatched
 i+1 into i.
 
-One signature pass per (i, element) fills all five operator tables:
-f_i and e_i from the outermost unmatched letters, eps_i and phi_i as the
-numbers of unmatched i+1 and i letters, and s_i, which swaps those two
-numbers, by walking |phi_i - eps_i| steps along the new f_i or e_i row.
+One left-to-right scan of each reading word fills all five operator
+tables for every i at once: each letter v is an i+1 letter for
+i = v-1 and an i letter for i = v, so one stack per index leaves
+eps_i and phi_i (the numbers of unmatched i+1 and i letters) and the
+cells where e_i and f_i act.  An image is looked up by an integer key,
+the reading word packed one digit per cell; the digits are wide enough
+for the letter rank+1, so f_i and e_i add and subtract one digit's
+unit.  s_i, which swaps eps_i and phi_i, walks |phi_i - eps_i| steps
+along the finished f_i or e_i row.
 
 On top of the simple operators the module provides the Weyl group
 action (s_i reverses each i-string), the modified operators
@@ -28,6 +33,7 @@ call from any number of threads.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
 from math import comb
 from typing import Iterator, NamedTuple, Optional
 
@@ -131,7 +137,10 @@ def semistandard_tableaux(parts: tuple[int, ...], max_entry: int) -> Iterator[Ta
 
     Cells are filled row-major with the smallest admissible entry first,
     so the output is lexicographic in the row-major filling sequence and
-    the highest-weight tableau (row r filled with r) comes first.
+    the highest-weight tableau (row r filled with r) comes first.  A cell
+    with k cells below it in its column takes at most max_entry - k, the
+    most that leaves room for the column below; so every partial filling
+    completes, and the search never enters a dead end.
     """
     parts = tuple(p for p in parts if p > 0)
     if not parts:
@@ -141,14 +150,16 @@ def semistandard_tableaux(parts: tuple[int, ...], max_entry: int) -> Iterator[Ta
         return
     rows = [[0] * p for p in parts]
     cells = [(r, c) for r in range(len(parts)) for c in range(parts[r])]
+    # rows r+1.. of column c that are at least c+1 long lie below cell (r, c)
+    caps = [max_entry - sum(p > c for p in parts[r + 1 :]) for r, c in cells]
     last = len(cells) - 1
     # Depth-first without recursion, so a long row cannot exhaust the stack:
-    # the cell at pos holds its last entry tried; past max_entry, back up.
+    # the cell at pos holds its last entry tried; past its cap, back up.
     pos = 0
     while pos >= 0:
         r, c = cells[pos]
         v = rows[r][c] + 1
-        if v > max_entry:
+        if v > caps[pos]:
             pos -= 1
             continue
         rows[r][c] = v
@@ -161,30 +172,6 @@ def semistandard_tableaux(parts: tuple[int, ...], max_entry: int) -> Iterator[Ta
         if r > 0:
             lo = max(lo, rows[r - 1][c] + 1)
         rows[r][c] = lo - 1
-
-
-def _unmatched_positions(
-    rows: TableauRows, i: int
-) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """Unmatched i and i+1 cells in reading order, after signature cancellation."""
-    unmatched_lo: list[tuple[int, int]] = []
-    stack: list[tuple[int, int]] = []
-    for r in range(len(rows) - 1, -1, -1):
-        for c, v in enumerate(rows[r]):
-            if v == i + 1:
-                stack.append((r, c))
-            elif v == i:
-                if stack:
-                    stack.pop()
-                else:
-                    unmatched_lo.append((r, c))
-    return unmatched_lo, stack
-
-
-def _replace(rows: TableauRows, pos: tuple[int, int], value: int) -> TableauRows:
-    r, c = pos
-    row = rows[r][:c] + (value,) + rows[r][c + 1 :]
-    return rows[:r] + (row,) + rows[r + 1 :]
 
 
 @lru_cache(maxsize=None)
@@ -210,9 +197,10 @@ class Crystal:
     """The crystal of all semistandard tableaux of one shape.
 
     Use :meth:`generate`; the constructor, which takes the elements, is
-    internal.  Elements are referred to by id.  One signature pass fills
-    the f_i, e_i, eps_i, phi_i and s_i tables (s_i swaps the unmatched
-    exponents eps_i and phi_i); everything else is derived from them.
+    internal.  Elements are referred to by id.  One scan of each
+    element's reading word fills the f_i, e_i, eps_i, phi_i and s_i
+    tables for every i (s_i swaps the unmatched exponents eps_i and
+    phi_i); everything else is derived from them.
     """
 
     def __init__(self, rank: int, shape: Weight, elements: tuple[TableauRows, ...]):
@@ -381,43 +369,100 @@ class Crystal:
 def _operator_tables(
     elements: tuple[TableauRows, ...], rank: int
 ) -> tuple[OperatorTable, OperatorTable, IntTable, IntTable, IntTable]:
-    """The f_i, e_i, eps_i, phi_i and s_i tables, one signature pass per (i, element).
+    """The f_i, e_i, eps_i, phi_i and s_i tables, from one scan of each reading word.
 
-    eps_i and phi_i count the unmatched i+1 and i letters; s_i walks
-    |phi_i - eps_i| steps along the row's f_i or e_i table.  Every image
-    must be an element.
+    s_i walks |phi_i - eps_i| steps along the finished f_i or e_i row.
+    Each row becomes a tuple as soon as its s_i row is done, so a list
+    and its tuple copy coexist for one row at a time.
     """
-    index = {rows: x for x, rows in enumerate(elements)}
-
-    def image_id(rows: TableauRows, pos: tuple[int, int], value: int) -> int:
-        image = _replace(rows, pos, value)
-        y = index.get(image)
-        if y is None:
-            raise CrystalStructureError(f"operator image {image} is missing from the element set")
-        return y
-
-    f_table, e_table, eps_table, phi_table, si_table = [], [], [], [], []
-    for i in range(1, rank + 1):
-        f_row: list[Optional[int]] = []
-        e_row: list[Optional[int]] = []
-        eps_row = []
-        phi_row = []
-        for rows in elements:
-            lo, hi = _unmatched_positions(rows, i)
-            f_row.append(image_id(rows, lo[-1], i + 1) if lo else None)
-            e_row.append(image_id(rows, hi[0], i) if hi else None)
-            eps_row.append(len(hi))
-            phi_row.append(len(lo))
-        si_row = []
-        for x, (eps, phi) in enumerate(zip(eps_row, phi_row)):
-            step = f_row if phi >= eps else e_row
-            y = x
-            for _ in range(abs(phi - eps)):
-                y = step[y]
-            si_row.append(y)
-        f_table.append(tuple(f_row))
-        e_table.append(tuple(e_row))
-        eps_table.append(tuple(eps_row))
-        phi_table.append(tuple(phi_row))
-        si_table.append(tuple(si_row))
+    f_table, e_table, eps_table, phi_table, ids = _signature_rows(elements, rank)
+    si_table = []
+    for j in range(rank):
+        reversals = _string_reversals(f_table[j], e_table[j], eps_table[j], phi_table[j], ids)
+        si_table.append(tuple(reversals))
+        for table in (f_table, e_table, eps_table, phi_table):
+            table[j] = tuple(table[j])
     return tuple(f_table), tuple(e_table), tuple(eps_table), tuple(phi_table), tuple(si_table)
+
+
+def _signature_rows(
+    elements: tuple[TableauRows, ...], rank: int
+) -> tuple[list, list, list, list, tuple[int, ...]]:
+    """The f_i, e_i, eps_i and phi_i rows as lists, and the ids they hold.
+
+    A letter v plays two parts in the scan: for i = v-1 it is an i+1
+    letter and goes on that index's stack, for i = v it is an i letter
+    and cancels the top of that stack, or else stays unmatched.  At the
+    end, for every i at once, the stack holds the eps_i unmatched i+1
+    letters, its bottom the leftmost, where e_i acts; phi_i counts the
+    unmatched i letters, the last one recorded being where f_i acts.
+
+    Each element is keyed by its reading word packed into an int, one
+    digit of whole bytes per position.  The digits are wide enough for
+    the letter rank+1, so no operator carries into the next digit: the
+    image of f_i at a position is the key plus that digit's unit, of e_i
+    the key minus it.  Every image must be an element.
+    """
+    size = len(elements)
+    # whole bytes per digit, enough for the letter rank+1; the first letter read is the lowest digit
+    digit_bytes = ((rank + 1).bit_length() + 7) // 8
+    width = 8 * digit_bytes
+    letter = [v.to_bytes(digit_bytes, "little") for v in range(rank + 2)].__getitem__
+    index = {
+        int.from_bytes(b"".join(map(letter, chain.from_iterable(reversed(rows)))), "little"): x
+        for x, rows in enumerate(elements)
+    }
+    if len(index) != size:
+        raise CrystalStructureError(f"{size - len(index)} repeated tableaux")
+
+    f_table = [[None] * size for _ in range(rank)]
+    e_table = [[None] * size for _ in range(rank)]
+    eps_table = [[0] * size for _ in range(rank)]
+    phi_table = [[0] * size for _ in range(rank)]
+    by_index = tuple(zip(range(1, rank + 1), f_table, e_table, eps_table, phi_table))
+    blank = [0] * (rank + 2)
+    for (key, x), rows in zip(index.items(), elements):
+        # per index i: the unmatched i+1 letters on the stack and the shift of
+        # its bottom one's digit, the unmatched i letters and that of the last one
+        stack, bottom, unmatched, last = blank[:], blank[:], blank[:], blank[:]
+        shift = 0
+        for row in reversed(rows):
+            for v in row:
+                i = v - 1
+                if stack[i]:
+                    stack[i] += 1
+                else:
+                    stack[i] = 1
+                    bottom[i] = shift
+                if stack[v]:
+                    stack[v] -= 1
+                else:
+                    unmatched[v] += 1
+                    last[v] = shift
+                shift += width
+        for i, f_row, e_row, eps_row, phi_row in by_index:
+            if unmatched[i]:
+                phi_row[x] = unmatched[i]
+                y = f_row[x] = index.get(key + (1 << last[i]))
+                if y is None:
+                    raise CrystalStructureError(f"f_{i} of {rows} is not an element")
+            if stack[i]:
+                eps_row[x] = stack[i]
+                y = e_row[x] = index.get(key - (1 << bottom[i]))
+                if y is None:
+                    raise CrystalStructureError(f"e_{i} of {rows} is not an element")
+    # the id objects of the f and e rows, so that the fixed points of s_i share them
+    return f_table, e_table, eps_table, phi_table, tuple(index.values())
+
+
+def _string_reversals(
+    f_row: list, e_row: list, eps_row: list, phi_row: list, ids: tuple[int, ...]
+) -> Iterator[int]:
+    """s_i of each id: phi_i - eps_i steps of f_i, or eps_i - phi_i steps of e_i."""
+    for x in ids:
+        m = phi_row[x] - eps_row[x]
+        walk = f_row if m >= 0 else e_row
+        y = x
+        for _ in range(abs(m)):
+            y = walk[y]
+        yield y

@@ -44,6 +44,9 @@ GOLDEN = [
     ("verify --suite arrows --rank 3 --max-weight 5", 0, "00cb8115499887b3b666a63fffeb4a49aa1ea0a4562ae08815f9fc69543289c8"),
     ("verify --suite gammam --rank 3 --max-weight 5", 0, "151c1ee5a1f45214911a9a5603ce0953b4058e47c40fccc3691f94efd3c17f44"),
     ("verify --suite swapping --rank 3 --max-weight 5", 0, "6cb7298a2e3f06e867e8a519f043ccca06042b0c845c1907e25ede662edef374"),
+    ("crystal --rank 4 --weight 3,2,1 --format json", 0, "f961fa0ff7e6c4bb091c418b8c4e1da3849b60ef725a5b1d77a251d4e6c5da05"),
+    ("atoms --rank 4 --weight 3,2,1 --format json", 0, "754d24d55e6ba1cf35883aa1bc70ed972079797a24752016f6681acb2987106a"),
+    ("kostka --rank 5 --weight 3,2,1 --mu 1,1,1,1,1,1 --method new", 0, "1b17a45bb4f2b948f510ff43fdbe2cee83e5d7c48600c5c00d715708f53dfba4"),
 ]
 
 GOLDEN_ERRORS = [

@@ -2,7 +2,8 @@
 
 Every drawn command must exit 0, 1 or 2, print at most one `error:`
 line on stderr and never a traceback.  Sizes stay small through
---max-elements <= 500, so one example costs milliseconds.
+--max-elements <= 500, and verify through rank <= 3 and max weight
+<= 4, so one example costs milliseconds.
 """
 
 import contextlib
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crystalcharge import cli
+from crystalcharge.verify import SUITES
 
 
 def csv(strategy):
@@ -66,3 +68,33 @@ def test_hostile_flag_values_exit_cleanly(argv):
     assert sum(line.startswith("error:") for line in lines) <= 1, (argv, lines)
     if status == 2:
         assert lines and lines[0].startswith("error:"), (argv, lines)
+
+
+@st.composite
+def verify_commands(draw):
+    suite = draw(st.one_of(st.sampled_from(SUITES), st.sampled_from(["", "ALL", "oracle", "atoms,arrows", "-1"])))
+    return [
+        "verify",
+        f"--suite={suite}",
+        f"--rank={draw(st.integers(min_value=-1, max_value=3))}",
+        f"--max-weight={draw(st.integers(min_value=-2, max_value=4))}",
+        f"--max-elements={draw(st.integers(min_value=0, max_value=500))}",
+    ]
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(verify_commands())
+def test_hostile_verify_arguments_exit_cleanly(argv):
+    """A suite name argparse rejects exits 2 through SystemExit, its one error line last."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status = cli.main(argv)
+        except SystemExit as exc:
+            status = exc.code
+    lines = err.getvalue().splitlines()
+    assert status in (0, 1, 2), (argv, status)
+    assert "Traceback" not in err.getvalue()
+    assert sum("error:" in line for line in lines) <= 1, (argv, lines)
+    if status == 2:
+        assert any("error:" in line for line in lines), (argv, lines)

@@ -7,6 +7,7 @@ import pytest
 from crystalcharge.crystal import (
     Crystal,
     CrystalSizeError,
+    CrystalStructureError,
     conjugating_permutation,
     is_semistandard,
     normalize_shape,
@@ -85,6 +86,26 @@ def test_weyl_dimension_at_large_rank():
 def test_generate_long_row():
     """A row of 1,200 cells enumerates without one stack frame per cell."""
     assert Crystal.generate((1200,), 1).size == 1201
+
+
+def test_generate_tall_column():
+    """A column of 60 cells: every cell is capped by the room its column needs below."""
+    assert Crystal.generate((1,) * 60, 60).size == 61
+
+
+def test_generate_two_long_rows():
+    """Shape (20000, 19999) at rank 1: two tableaux, 39,999 cells, no dead end per column."""
+    assert Crystal.generate((20000, 19999), 1).size == 2
+
+
+def test_broken_element_set_raises():
+    elements = Crystal.generate((2, 1, 0), 2).elements
+    with pytest.raises(CrystalStructureError, match=r"^f_1 of \(\(1, 3\), \(3,\)\) is not an element$"):
+        Crystal(2, (2, 1, 0), elements[:-1])
+    with pytest.raises(CrystalStructureError, match=r"^e_2 of \(\(1, 1\), \(3,\)\) is not an element$"):
+        Crystal(2, (2, 1, 0), elements[1:])
+    with pytest.raises(CrystalStructureError, match=r"^1 repeated tableaux$"):
+        Crystal(2, (2, 1, 0), elements + elements[-1:])
 
 
 def test_generate_cap():

@@ -19,6 +19,12 @@ weyl_dimension collapses Weyl's pairwise product over blocks of equal
 parts into binomials; the reference is the pairwise product in exact
 fractions, on every shape of size <= 10 at ranks 1-6 and on shapes with
 parts up to a million.
+
+The operator tables come from one scan of each reading word, with
+images looked up by an integer key; the reference runs one signature
+pass per (i, element) and rebuilds each image as a tuple of rows.  The
+tableau enumeration caps each cell by the room its column needs below;
+the reference is the uncapped loop, which backs out of dead ends.
 """
 
 from fractions import Fraction
@@ -26,7 +32,7 @@ from itertools import permutations
 
 from crystalcharge.affine_graph import AffineCoroot, apply_affine_reflection, build_interval
 from crystalcharge.charge_kostka import llt_gamma_raw
-from crystalcharge.crystal import Crystal, weyl_dimension
+from crystalcharge.crystal import Crystal, semistandard_tableaux, weyl_dimension
 from crystalcharge.root_data import (
     bruhat_leq_dominant,
     dominant_representative,
@@ -109,6 +115,92 @@ def weyl_dimension_reference(lam):
             dim *= Fraction(lam[i] - lam[j] + j - i, j - i)
     assert dim.denominator == 1
     return int(dim)
+
+
+def semistandard_tableaux_reference(parts, max_entry):
+    """Row-major depth-first filling, each cell up to max_entry."""
+    parts = tuple(p for p in parts if p > 0)
+    if not parts:
+        yield ()
+        return
+    if len(parts) > max_entry:
+        return
+    rows = [[0] * p for p in parts]
+    cells = [(r, c) for r in range(len(parts)) for c in range(parts[r])]
+    last = len(cells) - 1
+    pos = 0
+    while pos >= 0:
+        r, c = cells[pos]
+        v = rows[r][c] + 1
+        if v > max_entry:
+            pos -= 1
+            continue
+        rows[r][c] = v
+        if pos == last:
+            yield tuple(tuple(row) for row in rows)
+            continue
+        pos += 1
+        r, c = cells[pos]
+        lo = rows[r][c - 1] if c > 0 else 1
+        if r > 0:
+            lo = max(lo, rows[r - 1][c] + 1)
+        rows[r][c] = lo - 1
+
+
+def unmatched_positions(rows, i):
+    """Unmatched i and i+1 cells in reading order, after signature cancellation."""
+    unmatched_lo = []
+    stack = []
+    for r in range(len(rows) - 1, -1, -1):
+        for c, v in enumerate(rows[r]):
+            if v == i + 1:
+                stack.append((r, c))
+            elif v == i:
+                if stack:
+                    stack.pop()
+                else:
+                    unmatched_lo.append((r, c))
+    return unmatched_lo, stack
+
+
+def replace_entry(rows, pos, value):
+    r, c = pos
+    row = rows[r][:c] + (value,) + rows[r][c + 1 :]
+    return rows[:r] + (row,) + rows[r + 1 :]
+
+
+def operator_tables_reference(elements, rank):
+    """f, e, eps, phi and s_i, one signature pass per (i, element); images found by their rows."""
+    index = {rows: x for x, rows in enumerate(elements)}
+    f_table, e_table, eps_table, phi_table, si_table = [], [], [], [], []
+    for i in range(1, rank + 1):
+        f_row, e_row, eps_row, phi_row = [], [], [], []
+        for rows in elements:
+            lo, hi = unmatched_positions(rows, i)
+            f_row.append(index[replace_entry(rows, lo[-1], i + 1)] if lo else None)
+            e_row.append(index[replace_entry(rows, hi[0], i)] if hi else None)
+            eps_row.append(len(hi))
+            phi_row.append(len(lo))
+        si_row = []
+        for x, (eps, phi) in enumerate(zip(eps_row, phi_row)):
+            step = f_row if phi >= eps else e_row
+            y = x
+            for _ in range(abs(phi - eps)):
+                y = step[y]
+            si_row.append(y)
+        f_table.append(tuple(f_row))
+        e_table.append(tuple(e_row))
+        eps_table.append(tuple(eps_row))
+        phi_table.append(tuple(phi_row))
+        si_table.append(tuple(si_row))
+    return tuple(f_table), tuple(e_table), tuple(eps_table), tuple(phi_table), tuple(si_table)
+
+
+def crystal_reference(elements, rank):
+    """The tables, the weights counted letter by letter, and the id of the highest-weight tableau."""
+    weights = tuple(tuple(sum(row.count(v) for row in rows) for v in range(1, rank + 2)) for rows in elements)
+    highest = elements.index(tuple((r + 1,) * len(row) for r, row in enumerate(elements[0])))
+    return operator_tables_reference(elements, rank) + (weights, highest)
 
 
 def outcome(f, *args):
@@ -198,3 +290,23 @@ def test_weyl_dimension_matches_weyl_product():
     ]
     for rank, lam in shapes:
         assert weyl_dimension(lam, rank) == weyl_dimension_reference(lam)
+
+
+def test_semistandard_tableaux_match_uncapped_loop():
+    for rank in (1, 2, 3, 4):
+        for size in range(8):
+            for lam in dominant_weights(rank, size):
+                got = list(semistandard_tableaux(lam, rank + 1))
+                assert got == list(semistandard_tableaux_reference(lam, rank + 1))
+
+
+def test_operator_tables_match_per_index_passes():
+    max_size = {1: 8, 2: 8, 3: 8, 4: 6, 5: 4}
+    cases = [(lam, rank) for rank, top in max_size.items() for size in range(top + 1) for lam in dominant_weights(rank, size)]
+    cases += [((1,) * k, k) for k in range(1, 41)]
+    # one-byte digits end at letter 255; rank 255 needs letter 256
+    cases += [((1200,), 1), ((2, 1), 40), ((1,), 254), ((1,), 255), ((1,), 300)]
+    for lam, rank in cases:
+        c = Crystal.generate(lam, rank)
+        got = (c._f, c._e, c._eps, c._phi, c._si, c.weights, c.highest)
+        assert got == crystal_reference(c.elements, rank), (lam, rank)
