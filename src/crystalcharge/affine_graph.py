@@ -23,7 +23,7 @@ with sign +1 or with finite part inside the a_1..a_{n-1} subsystem are
 never reversed.
 
 All stages share the interval's vertices and edges, so
-`interval_graph(lam', rank)` builds them once, each edge with the
+`interval_graph(lam')` builds them once, each edge with the
 reversal index of its label.  `.at(m)` gives the stage-m graph as a view
 that copies no edge: its in-degrees are the stage-0 ones corrected by the
 edges of index <= m, and its edge list is oriented only when read.
@@ -43,7 +43,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress
+from itertools import compress, groupby
 from operator import itemgetter
 from typing import Union
 
@@ -180,7 +180,7 @@ class IntervalGraph:
             return self
         if not is_dominant(h) or not bruhat_leq_dominant(h, self.base):
             raise ValueError(f"{h} is not a dominant weight below {self.base}")
-        inside = set(dominant_interval(h, len(h) - 1)).__contains__
+        inside = set(dominant_interval(h)).__contains__
         vertex_orbits, head_orbits = self._orbits
         return IntervalGraph(
             h,
@@ -217,36 +217,34 @@ def _rearrangements(mu: Weight) -> list[Weight]:
         out.append(tuple(word))
 
 
-def _check_base(lam: Weight, rank: int) -> None:
-    if len(lam) != rank + 1:
-        raise ValueError(f"weight {lam} has wrong length for rank {rank}")
+def _check_base(lam: Weight) -> None:
     if not is_dominant(lam):
         raise ValueError(f"{lam} is not dominant")
     if lam and lam[-1] < 0:
         raise ValueError(f"{lam} has negative coordinates")
 
 
-def interval_size(lambda_prime: Weight, rank: int) -> int:
+def interval_size(lambda_prime: Weight) -> int:
     """The number of weights below lambda_prime, counted before any is built.
 
     Sums the orbit size of each dominant weight below lambda_prime, the
     multinomial coefficient of its multiplicities.
 
-    >>> interval_size((6, 5, 4, 3, 2, 1, 0), 6)
+    >>> interval_size((6, 5, 4, 3, 2, 1, 0))
     36961
     """
     lam = tuple(lambda_prime)
-    _check_base(lam, rank)
+    _check_base(lam)
     total = 0
-    for mu in dominant_interval(lam, rank):
-        orbit = math.factorial(rank + 1)
+    for mu in dominant_interval(lam):
+        orbit = math.factorial(len(lam))
         for count in Counter(mu).values():
             orbit //= math.factorial(count)
         total += orbit
     return total
 
 
-def build_interval(lambda_prime: Weight, rank: int) -> tuple[Weight, ...]:
+def build_interval(lambda_prime: Weight) -> tuple[Weight, ...]:
     """All weights below lambda_prime, in lexicographic order.
 
     A weight lies below lambda_prime exactly when its dominant
@@ -254,20 +252,29 @@ def build_interval(lambda_prime: Weight, rank: int) -> tuple[Weight, ...]:
     rearrangements of the dominant weights below lambda_prime.
     """
     lam = tuple(lambda_prime)
-    _check_base(lam, rank)
-    return tuple(sorted(w for mu in dominant_interval(lam, rank) for w in _rearrangements(mu)))
+    _check_base(lam)
+    return tuple(sorted(w for mu in dominant_interval(lam) for w in _rearrangements(mu)))
 
 
-def interval_graph(lambda_prime: Weight, rank: int | None = None) -> IntervalGraph:
-    """I(lambda_prime) with every root-line edge, oriented as at stage 0."""
+def interval_graph(lambda_prime: Weight) -> IntervalGraph:
+    """I(lambda_prime) with every root-line edge, oriented as at stage 0.
+
+    Every coordinate of a weight below lambda_prime lies between its last
+    and first coordinates, so the walk from mu along a_{j,k} leaves the
+    interval at once unless mu_j can fall and mu_{k+1} can rise.  Only
+    those roots are walked, in lexicographic order, so at high rank a
+    weight with few coordinates off the extremes walks few roots.
+    """
     lam = tuple(lambda_prime)
-    n = rank if rank is not None else len(lam) - 1
-    vertices = build_interval(lam, n)
+    n = len(lam) - 1
+    vertices = build_interval(lam)
     vertex_set = set(vertices)
     labels: dict[tuple[int, Root, int], tuple[AffineCoroot, int | None]] = {}
     edges = []
+    by_tail = [()] + [tuple(run) for _, run in groupby(positive_roots(n), itemgetter(0))]
     for mu in vertices:
-        for beta in positive_roots(n):
+        tails = [j for j in range(1, n + 1) if mu[j - 1] > lam[-1]]
+        for beta in [b for j in tails for b in by_tail[j] if mu[b[1]] < lam[0]]:
             j, k = beta
             p = mu[j - 1] - mu[k]
             nu = list(mu)
@@ -291,9 +298,9 @@ def interval_graph(lambda_prime: Weight, rank: int | None = None) -> IntervalGra
     return IntervalGraph(lam, vertices, tuple(edges))
 
 
-def build_graph(lambda_prime: Weight, stage: Stage, rank: int | None = None) -> TwistedGraph:
+def build_graph(lambda_prime: Weight, stage: Stage) -> TwistedGraph:
     """The twisted Bruhat graph on I(lambda_prime) at the given stage."""
-    return interval_graph(lambda_prime, rank).at(stage)
+    return interval_graph(lambda_prime).at(stage)
 
 
 def stage_reflection(m_plus_1: int, rank: int) -> AffineCoroot:
@@ -354,10 +361,10 @@ def arr_infinity_formula(mu: Weight, lambda_prime: Weight) -> int:
     return total
 
 
-def stabilization_stage(lambda_prime: Weight, rank: int | None = None) -> int:
+def stabilization_stage(lambda_prime: Weight) -> int:
     """Smallest M with the stage-M graph equal to the stage-infinity graph.
 
     This is the largest reversal index over the edge labels of the
     interval (0 when no edge is reversible).
     """
-    return interval_graph(lambda_prime, rank).stabilization_stage
+    return interval_graph(lambda_prime).stabilization_stage

@@ -42,7 +42,7 @@ from .affine_graph import (
     stage_reflection,
 )
 from .atoms import AtomDecomposition, atomic_number, decompose
-from .crystal import DEFAULT_MAX_ELEMENTS, Crystal, TableauRows, normalize_shape
+from .crystal import Crystal, TableauRows
 from .root_data import (
     LineOrder,
     Weight,
@@ -94,9 +94,6 @@ class HalfLaurentPolynomial:
         """(doubled exponent, coefficient) pairs in decreasing exponent order."""
         return tuple(sorted(self._terms.items(), reverse=True))
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 
@@ -112,12 +109,6 @@ class HalfLaurentPolynomial:
         terms = dict(self._terms)
         for exp, coeff in other._terms.items():
             terms[exp] = terms.get(exp, 0) + coeff
-        return HalfLaurentPolynomial(terms)
-
-    def __sub__(self, other: "HalfLaurentPolynomial") -> "HalfLaurentPolynomial":
-        terms = dict(self._terms)
-        for exp, coeff in other._terms.items():
-            terms[exp] = terms.get(exp, 0) - coeff
         return HalfLaurentPolynomial(terms)
 
     def __mul__(self, other: "HalfLaurentPolynomial") -> "HalfLaurentPolynomial":
@@ -178,10 +169,6 @@ class HalfLaurentPolynomial:
     def to_json_dict(self) -> dict[str, int]:
         return {str(exp): coeff for exp, coeff in self.doubled_items()}
 
-    @classmethod
-    def from_json_dict(cls, data: dict[str, int]) -> "HalfLaurentPolynomial":
-        return cls({int(exp): coeff for exp, coeff in data.items()})
-
 
 # -- the new charge statistic ------------------------------------------------
 
@@ -220,7 +207,7 @@ def recharge(
     atom = decomposition.atom_of(x)
     highest = atom.highest_weight
     if graph is None:
-        graph = build_graph(highest, stage, crystal.rank)
+        graph = build_graph(highest, stage)
     elif (graph.base, graph.stage, type(graph.stage)) != (highest, stage, type(stage)):
         raise ValueError(f"graph at stage {graph.stage} over {graph.base} is not x's stage-{stage} graph")
     return atom.z - graph.arr(crystal.weight(x))
@@ -237,7 +224,7 @@ def recharge_table(
     stage graph of each atom is a view of its restriction to the atom's
     highest weight.
     """
-    interval = interval_graph(crystal.shape, crystal.rank)
+    interval = interval_graph(crystal.shape)
     views: dict[Weight, TwistedGraph] = {}
     values = {}
     for x in range(crystal.size):
@@ -352,36 +339,22 @@ def llt_gamma(crystal: Crystal, x: int) -> int:
 # -- Kostka-Foulkes polynomials ------------------------------------------------
 
 
-def kostka(
-    shape: tuple[int, ...],
-    rank: int,
-    mu: Weight,
-    method: str = "new",
-    crystal: Optional[Crystal] = None,
-    max_elements: int = DEFAULT_MAX_ELEMENTS,
-) -> HalfLaurentPolynomial:
-    """K_{lambda,mu}(q) by one of four routes.
+def kostka(crystal: Crystal, mu: Weight, method: str = "new") -> HalfLaurentPolynomial:
+    """K_{lambda,mu}(q) over the crystal B(lambda), by one of four routes.
 
     "new" sums q^charge, "ls" scores reading words, "llt" averages over
-    the Weyl group, "count" returns the constant bare multiplicity.
+    the Weyl group, "count" returns the constant bare multiplicity.  mu
+    is padded with zeros to the length of lambda.
     """
     if method not in KOSTKA_METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {KOSTKA_METHODS}")
-    lam = normalize_shape(shape, rank)
+    lam = crystal.shape
     mu = tuple(mu)
-    if len(mu) < rank + 1:
-        mu = mu + (0,) * (rank + 1 - len(mu))
+    mu += (0,) * (len(lam) - len(mu))
     if not is_dominant(mu):
         raise ValueError(f"mu = {mu} is not dominant")
     if not bruhat_leq_dominant(mu, lam):
         raise ValueError(f"mu = {mu} is not below lambda = {lam}")
-    if crystal is None:
-        crystal = Crystal.generate(lam, rank, max_elements)
-    elif crystal.shape != lam or crystal.rank != rank:
-        raise ValueError(
-            f"supplied crystal is B({crystal.shape}) at rank {crystal.rank}, "
-            f"not B({lam}) at rank {rank}"
-        )
     elements = crystal.elements_of_weight(mu)
     if method == "count":
         return HalfLaurentPolynomial.monomial(0, len(elements))

@@ -101,7 +101,7 @@ def _write_out(path: Path, text: str) -> None:
 def _cmd_kostka(args) -> tuple[str, int]:
     mu = _parse_csv(args.mu)
     crystal = _load_crystal(args)
-    poly = kostka(crystal.shape, args.rank, mu, args.method, crystal=crystal)
+    poly = kostka(crystal, mu, args.method)
     if args.format == "json":
         payload = {
             "rank": args.rank,
@@ -149,12 +149,12 @@ def _cmd_atoms(args) -> tuple[str, int]:
 def _cmd_graph(args) -> tuple[str, int]:
     lam = normalize_shape(_parse_csv(args.weight), args.rank)
     stage = _parse_stage(args.stage)
-    size = interval_size(lam, args.rank)
+    size = interval_size(lam)
     if size > args.max_elements:
         raise ValueError(
             f"interval below {lam} at rank {args.rank} has {size} weights, exceeding the cap of {args.max_elements}"
         )
-    graph = build_graph(lam, stage, args.rank)
+    graph = build_graph(lam, stage)
     if args.format == "json":
         payload = {
             "base": list(graph.base),

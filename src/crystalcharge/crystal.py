@@ -33,7 +33,7 @@ call from any number of threads.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, repeat
 from math import comb
 from typing import Iterator, NamedTuple, Optional
 
@@ -207,7 +207,9 @@ class Crystal:
         self.rank = rank
         self.shape = shape
         self.elements = elements
-        self.weights = tuple(content(rows, rank) for rows in elements)
+        # one tuple per distinct weight, shared by every element of that weight
+        shared: dict[Weight, Weight] = {}
+        self.weights = tuple(shared.setdefault(mu, mu) for mu in map(content, elements, repeat(rank)))
         self._f, self._e, self._eps, self._phi, self._si = _operator_tables(elements, rank)
 
         by_weight: dict[Weight, list[int]] = {}
@@ -259,21 +261,11 @@ class Crystal:
     def e(self, i: int, x: int) -> Optional[int]:
         return self._e[i - 1][x]
 
-    def op(self, direction: str, i: int, x: int) -> Optional[int]:
-        if direction == "f":
-            return self._f[i - 1][x]
-        if direction == "e":
-            return self._e[i - 1][x]
-        raise ValueError(f"unknown operator direction {direction!r}")
-
     def eps(self, i: int, x: int) -> int:
         return self._eps[i - 1][x]
 
     def phi(self, i: int, x: int) -> int:
         return self._phi[i - 1][x]
-
-    def string_stats(self, i: int, x: int) -> StringStats:
-        return StringStats(self._eps[i - 1][x], self._phi[i - 1][x])
 
     def elements_of_weight(self, mu: Weight) -> tuple[int, ...]:
         return self._by_weight.get(tuple(mu), ())
@@ -284,15 +276,11 @@ class Crystal:
         """The simple reflection s_i, reversing the i-string through x."""
         return self._si[i - 1][x]
 
-    def act_word(self, word: tuple[int, ...], x: int) -> int:
-        """Apply s_{i_1} ... s_{i_r} to x (rightmost letter acts first)."""
-        for i in reversed(word):
+    def weyl_act(self, w: Permutation, x: int) -> int:
+        """Apply w along a reduced word, rightmost letter first; any word gives the same."""
+        for i in reversed(reduced_word(w)):
             x = self._si[i - 1][x]
         return x
-
-    def weyl_act(self, w: Permutation, x: int) -> int:
-        """Apply a Weyl group element; word-independent since si is an action."""
-        return self.act_word(reduced_word(w), x)
 
     # -- modified operators f_a = w f_k w^{-1} ---------------------------
 
@@ -341,7 +329,7 @@ class Crystal:
         if u is None:
             u = conjugating_permutation(self.rank, beta)
         y = self.weyl_act(perm_inverse(u), x)
-        y = self.op(direction, self.rank, y)
+        y = self.root_op(direction, (self.rank, self.rank), y)
         if y is None:
             return None
         return self.weyl_act(u, y)

@@ -209,11 +209,11 @@ def partitions(total: int, max_parts: int, bound: Optional[int] = None) -> Itera
             yield (first,) + rest
 
 
-def dominant_interval(lam: Weight, rank: int) -> tuple[Weight, ...]:
+def dominant_interval(lam: Weight) -> tuple[Weight, ...]:
     """Dominant weights below lam, largest first."""
     result = []
-    for shape in partitions(sum(lam), rank + 1):
-        mu = shape + (0,) * (rank + 1 - len(shape))
+    for shape in partitions(sum(lam), len(lam)):
+        mu = shape + (0,) * (len(lam) - len(shape))
         if bruhat_leq_dominant(mu, lam):
             result.append(mu)
     return tuple(result)

@@ -125,7 +125,7 @@ def _intervals(rank: int) -> Callable[[Weight], IntervalGraph]:
     def below(lam: Weight) -> IntervalGraph:
         size = sum(lam)
         if size not in graphs:
-            graphs[size] = interval_graph((size,) + (0,) * rank, rank)
+            graphs[size] = interval_graph((size,) + (0,) * rank)
         return graphs[size].restrict(lam)
 
     return below
@@ -138,12 +138,12 @@ def check_oracles(report: VerifyReport, rank: int, max_weight: int, max_elements
     one = HalfLaurentPolynomial.one()
     order = factorial(rank + 1)
     for lam, c in _sweep_crystals(rank, max_weight, max_elements):
-        for mu in dominant_interval(lam, rank):
+        for mu in dominant_interval(lam):
             base = f"n={rank} lam={format_weight(lam)} mu={format_weight(mu)}"
-            k_new = kostka(lam, rank, mu, "new", crystal=c)
-            k_ls = kostka(lam, rank, mu, "ls", crystal=c)
-            k_llt = kostka(lam, rank, mu, "llt", crystal=c)
-            count = kostka(lam, rank, mu, "count", crystal=c).evaluate_at_one()
+            k_new = kostka(c, mu, "new")
+            k_ls = kostka(c, mu, "ls")
+            k_llt = kostka(c, mu, "llt")
+            count = kostka(c, mu, "count").evaluate_at_one()
             report.record("new=ls", k_new == k_ls, f"{base} new=ls", k_new.text(), k_ls.text())
             report.record("new=llt", k_new == k_llt, f"{base} new=llt", k_new.text(), k_llt.text())
             report.record(
@@ -182,7 +182,7 @@ def validate_atom(report: VerifyReport, atom: Atom, crystal: Crystal, case: str)
     """Record the three defining properties of an atom, each as the case "<case> <check>"."""
     weights = [crystal.weight(x) for x in atom.element_ids]
     repeated = len(weights) - len(set(weights))
-    interval_ok = sorted(set(weights)) == sorted(build_interval(atom.highest_weight, crystal.rank))
+    interval_ok = sorted(set(weights)) == sorted(build_interval(atom.highest_weight))
     z_values = {atomic_number(crystal, x) for x in atom.element_ids}
     for check, ok, detail in (
         ("distinct-weights", repeated == 0, f"{repeated} repeated weights"),
@@ -222,7 +222,7 @@ def check_atoms(report: VerifyReport, rank: int, max_weight: int, max_elements: 
             bplus_parts,
         )
 
-        for mu in dominant_interval(lam, rank):
+        for mu in dominant_interval(lam):
             holding = sum(
                 1 for atom in dec.atoms if bruhat_leq_dominant(mu, atom.highest_weight)
             )
@@ -591,9 +591,9 @@ def check_hecke(report: VerifyReport, rank: int, max_weight: int, max_elements: 
         )
         bad = sum(0 if poly.coefficients_nonnegative() else 1 for poly in expansion.coeffs.values())
         report.record("nonnegative", bad == 0, f"{base} coefficients nonnegative", 0, bad)
-        for nu in dominant_interval(lam, rank):
+        for nu in dominant_interval(lam):
             lhs = kostka_from_hecke(expansion, nu)
-            rhs = kostka(lam, rank, nu, "new", crystal=c).scale_exponents(2)
+            rhs = kostka(c, nu, "new").scale_exponents(2)
             report.record(
                 "reconstruction",
                 lhs == rhs,

@@ -13,6 +13,7 @@ import pytest
 
 from crystalcharge import cli
 from crystalcharge.charge_kostka import kostka
+from crystalcharge.crystal import Crystal
 from crystalcharge.verify import SUITES, run_verify
 
 FULL_SWEEP = ((1, 8), (2, 8), (3, 8), (4, 6))
@@ -74,10 +75,10 @@ def test_criterion_01_triple_oracle_agreement(suites, capsys):
 
 
 def test_criterion_02_pinned_values(suites, capsys):
-    assert kostka((2, 0), 1, (1, 1), "new").text() == "q"
-    assert kostka((2, 0), 1, (1, 1), "ls").text() == "q"
-    assert kostka((2, 1, 0), 2, (1, 1, 1), "new").text() == "q^2 + q"
-    assert kostka((2, 1, 0), 2, (1, 1, 1), "ls").text() == "q^2 + q"
+    assert kostka(Crystal.generate((2, 0), 1), (1, 1), "new").text() == "q"
+    assert kostka(Crystal.generate((2, 0), 1), (1, 1), "ls").text() == "q"
+    assert kostka(Crystal.generate((2, 1, 0), 2), (1, 1, 1), "new").text() == "q^2 + q"
+    assert kostka(Crystal.generate((2, 1, 0), 2), (1, 1, 1), "ls").text() == "q^2 + q"
     _conclude(capsys, 2, "pinned values and K(lam,lam)=1 across the sweep", suites)
 
 
@@ -118,10 +119,9 @@ def test_criterion_09_swapping_functions(suites, capsys):
 
 
 def test_criterion_10_hecke_reconstruction(suites, capsys):
-    lam210 = kostka((2, 1, 0), 2, (1, 1, 1))  # warm sanity: q + q^2 exists
+    lam210 = kostka(Crystal.generate((2, 1, 0), 2), (1, 1, 1))  # warm sanity: q + q^2 exists
     assert lam210.evaluate_at_one() == 2
     from crystalcharge.charge_kostka import hecke_atomic_expansion, HalfLaurentPolynomial
-    from crystalcharge.crystal import Crystal
 
     expansion = hecke_atomic_expansion(Crystal.generate((2, 1, 0), 2))
     assert expansion.coeffs == {

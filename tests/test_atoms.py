@@ -217,7 +217,7 @@ def test_multiplicity_bookkeeping(shape, rank):
     crystal = Crystal.generate(shape, rank)
     dec = decompose(crystal)
     lam = crystal.shape
-    for mu in dominant_interval(lam, rank):
+    for mu in dominant_interval(lam):
         holding = sum(
             1 for atom in dec.atoms if bruhat_leq_dominant(mu, atom.highest_weight)
         )

@@ -122,7 +122,7 @@ def test_generate_rejects_bad_shapes():
 
 def test_op_rejects_unknown_direction(c20):
     with pytest.raises(ValueError):
-        c20.op("g", 1, 0)
+        c20.tilde_op("g", (1, 1), 0)
     with pytest.raises(ValueError):
         c20.root_op_power("g", (1, 1), 0, 1)
 
@@ -172,11 +172,11 @@ def test_crystal_op_examples(c20, c210):
 
 def test_string_stats_examples(c20, c210):
     for i in (1, 2):
-        stats = c210.string_stats(i, c210.highest)
+        stats = c210.root_string_stats((i, i), c210.highest)
         assert stats.eps == 0
         assert stats.phi == pairing(c210.shape, (i, i))
-    assert c20.string_stats(1, c20.elements.index(((1, 2),))) == (1, 1)
-    assert c210.string_stats(1, c210.elements.index(((1, 2), (2,)))) == (1, 0)
+    assert c20.root_string_stats((1, 1), c20.elements.index(((1, 2),))) == (1, 1)
+    assert c210.root_string_stats((1, 1), c210.elements.index(((1, 2), (2,)))) == (1, 0)
 
 
 def test_bijectivity(c210):

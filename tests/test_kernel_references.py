@@ -215,7 +215,7 @@ def dominant_weights(rank, size):
 
 
 CASES = [
-    (rank, lam, build_interval(lam, rank))
+    (rank, lam, build_interval(lam))
     for rank in (1, 2, 3)
     for size in range(7)
     for lam in dominant_weights(rank, size)
