@@ -263,18 +263,21 @@ def interval_graph(lambda_prime: Weight) -> IntervalGraph:
     and first coordinates, so the walk from mu along a_{j,k} leaves the
     interval at once unless mu_j can fall and mu_{k+1} can rise.  Only
     those roots are walked, in lexicographic order, so at high rank a
-    weight with few coordinates off the extremes walks few roots.
+    weight with few coordinates off the extremes walks few roots.  A
+    walk also stops as soon as one of its two coordinates passes an
+    extreme, before the step's weight is built.
     """
     lam = tuple(lambda_prime)
     n = len(lam) - 1
+    low, high = lam[-1], lam[0]
     vertices = build_interval(lam)
     vertex_set = set(vertices)
     labels: dict[tuple[int, Root, int], tuple[AffineCoroot, int | None]] = {}
     edges = []
     by_tail = [()] + [tuple(run) for _, run in groupby(positive_roots(n), itemgetter(0))]
     for mu in vertices:
-        tails = [j for j in range(1, n + 1) if mu[j - 1] > lam[-1]]
-        for beta in [b for j in tails for b in by_tail[j] if mu[b[1]] < lam[0]]:
+        tails = [j for j in range(1, n + 1) if mu[j - 1] > low]
+        for beta in [b for j in tails for b in by_tail[j] if mu[b[1]] < high]:
             j, k = beta
             p = mu[j - 1] - mu[k]
             nu = list(mu)
@@ -282,6 +285,8 @@ def interval_graph(lambda_prime: Weight) -> IntervalGraph:
             while True:
                 nu[j - 1] -= 1
                 nu[k] += 1
+                if nu[j - 1] < low or nu[k] > high:
+                    break
                 tnu = tuple(nu)
                 if tnu not in vertex_set:
                     break

@@ -89,11 +89,17 @@ def atomic_number(crystal: Crystal, x: int) -> Fraction:
     """Z(x) as an exact half-integer.
 
     Equivalently -<wt(x), rho^v> plus the sum of phi_a(x), since
-    phi_a - eps_a pairs the weight with each coroot.
+    phi_a - eps_a pairs the weight with each coroot.  eps of a_{j,k} is
+    eps_k after s_j, ..., s_{k-1}, so one walk per j reads the roots
+    a_{j,j}, ..., a_{j,n} in turn.
     """
+    n = crystal.rank
     eps_sum = 0
-    for beta in positive_roots(crystal.rank):
-        eps_sum += crystal.root_string_stats(beta, x).eps
+    for j in range(1, n + 1):
+        y = x
+        for k in range(j, n + 1):
+            eps_sum += crystal.eps(k, y)
+            y = crystal.si(k, y)
     return rho_pairing(crystal.weight(x)) + eps_sum
 
 

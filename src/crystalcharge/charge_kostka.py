@@ -312,16 +312,17 @@ def llt_gamma_raw(crystal: Crystal, x: int) -> int:
 
     Walks the orbit of x once, one s_i step per group element: S_(k+1)
     is the disjoint union of the cosets s_j ... s_k S_k for j = k+1
-    (the empty product), k, ..., 1.
+    (the empty product), k, ..., 1.  Each coset is one s_i row applied
+    to the previous one; the inner sum over i is the crystal's
+    per-element summand.
     """
-    n = crystal.rank
     orbit = [x]
-    for k in range(1, n + 1):
-        for y in orbit[:]:
-            for i in range(k, 0, -1):
-                y = crystal.si(i, y)
-                orbit.append(y)
-    return sum(i * min(crystal.eps(i, y), crystal.phi(i, y)) for y in orbit for i in range(1, n + 1))
+    for k in range(1, crystal.rank + 1):
+        coset = orbit
+        for i in range(k, 0, -1):
+            coset = list(map(crystal.si_row(i).__getitem__, coset))
+            orbit += coset
+    return sum(map(crystal.gamma_summands.__getitem__, orbit))
 
 
 def llt_gamma(crystal: Crystal, x: int) -> int:

@@ -32,7 +32,7 @@ call from any number of threads.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain, repeat
 from math import comb
 from typing import Iterator, NamedTuple, Optional
@@ -41,7 +41,6 @@ from .root_data import (
     Permutation,
     Root,
     Weight,
-    perm_inverse,
     reduced_word,
 )
 
@@ -276,6 +275,10 @@ class Crystal:
         """The simple reflection s_i, reversing the i-string through x."""
         return self._si[i - 1][x]
 
+    def si_row(self, i: int) -> tuple[int, ...]:
+        """s_i of every element, indexed by id."""
+        return self._si[i - 1]
+
     def weyl_act(self, w: Permutation, x: int) -> int:
         """Apply w along a reduced word, rightmost letter first; any word gives the same."""
         for i in reversed(reduced_word(w)):
@@ -326,13 +329,32 @@ class Crystal:
         The result does not depend on the choice of u; by default the
         order-preserving permutation is used.
         """
+        if direction not in ("f", "e"):
+            raise ValueError(f"unknown operator direction {direction!r}")
         if u is None:
             u = conjugating_permutation(self.rank, beta)
-        y = self.weyl_act(perm_inverse(u), x)
-        y = self.root_op(direction, (self.rank, self.rank), y)
+        word = reduced_word(u)
+        # u^{-1} is the reversed word, applied rightmost letter first: read u's word forward
+        y: Optional[int] = x
+        for i in word:
+            y = self._si[i - 1][y]
+        y = (self._f if direction == "f" else self._e)[self.rank - 1][y]
         if y is None:
             return None
-        return self.weyl_act(u, y)
+        for i in reversed(word):
+            y = self._si[i - 1][y]
+        return y
+
+    @cached_property
+    def gamma_summands(self) -> tuple[int, ...]:
+        """sum over i of i * min(eps_i, phi_i) for every element, indexed by id.
+
+        The summand of the Weyl-averaged statistic; built on first use.
+        """
+        sums = [0] * self.size
+        for i, (eps_row, phi_row) in enumerate(zip(self._eps, self._phi), start=1):
+            sums = [s + i * m for s, m in zip(sums, map(min, eps_row, phi_row))]
+        return tuple(sums)
 
     # -- serialization ----------------------------------------------------
 

@@ -26,7 +26,9 @@ immutable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from math import factorial
+from operator import ne
 from typing import Callable, Iterator
 
 from .affine_graph import (
@@ -67,6 +69,7 @@ from .root_data import (
     pairing,
     partitions,
     positive_roots,
+    reduced_word,
     root_vector,
 )
 
@@ -247,9 +250,14 @@ def check_atoms(report: VerifyReport, rank: int, max_weight: int, max_elements: 
                         bad_closure += 1
                 vec = root_vector(beta, rank)
                 mu = c.weight(x)
+                # f_beta^k = w f_n^k w^{-1}: conjugate once, then one f_n step per power
+                y = x
+                for i in range(j, rank):
+                    y = c.si(i, y)
                 k = 1
                 while True:
-                    alive = c.root_op_power("f", beta, x, k) is not None
+                    y = c.f(rank, y)
+                    alive = y is not None
                     shifted = tuple(a - k * b for a, b in zip(mu, vec))
                     inside = bruhat_leq_dominant(shifted, highest)
                     if alive != inside:
@@ -283,6 +291,22 @@ def _all_conjugators(rank: int, beta) -> list[tuple[int, ...]]:
     return out
 
 
+def _weyl_tables(c: Crystal) -> Callable[[tuple[int, ...]], list[int]]:
+    """(i_1, ..., i_r) -> the crystal permutation of s_(i_1) ... s_(i_r), indexed by id.
+
+    Each table is the s_(i_1) row read at the table of the rest of the
+    word, so words sharing a suffix compose it once.
+    """
+    tables: dict[tuple[int, ...], list[int]] = {(): list(range(c.size))}
+
+    def table(word: tuple[int, ...]) -> list[int]:
+        if word not in tables:
+            tables[word] = list(map(c.si_row(word[0]).__getitem__, table(word[1:])))
+        return tables[word]
+
+    return table
+
+
 def check_strings(report: VerifyReport, rank: int, max_weight: int, max_elements: int) -> None:
     for lam, c in _sweep_crystals(rank, max_weight, max_elements):
         base = f"n={rank} lam={format_weight(lam)}"
@@ -309,17 +333,20 @@ def check_strings(report: VerifyReport, rank: int, max_weight: int, max_elements
 
         if rank >= 3:
             bad = 0
+            # f_n and e_n of every element
+            last = {d: [op(rank, x) for x in range(c.size)] for d, op in (("f", c.f), ("e", c.e))}
+            weyl_table = _weyl_tables(c)
             for beta in roots:
                 reference = conjugating_permutation(rank, beta)
+                expected = {d: [c.tilde_op(d, beta, x) for x in range(c.size)] for d in last}
                 for u in _all_conjugators(rank, beta):
                     if u == reference:
                         continue
-                    for x in range(c.size):
-                        for direction in ("f", "e"):
-                            if c.tilde_op(direction, beta, x) != c.tilde_op(
-                                direction, beta, x, u=u
-                            ):
-                                bad += 1
+                    word = reduced_word(u)
+                    u_table, u_inverse = weyl_table(word), weyl_table(word[::-1])
+                    for direction, op in last.items():
+                        got = [None if y is None else u_table[y] for y in map(op.__getitem__, u_inverse)]
+                        bad += sum(map(ne, got, expected[direction]))
             report.record("conjugator-choice", bad == 0, f"{base} conjugator choice independence", 0, bad)
 
         bad = 0
@@ -369,6 +396,22 @@ def _reflected_pairs(coroot: AffineCoroot, graph: TwistedGraph) -> Iterator[tupl
             yield mu, tmu
 
 
+def _bad_labels(interval: IntervalGraph) -> list[int]:
+    """For each stage 0..M, the edges whose label does not reflect head to tail.
+
+    M is the stabilization stage, past which no edge turns.  Each edge is
+    reflected once per orientation: as at stage 0, and reversed when its
+    label is ever reversed, which holds from its reversal index on.
+    """
+    changes = [0] * (interval.stabilization_stage + 1)
+    for src, dst, label, index in interval.edges:
+        bad = apply_affine_reflection(label, dst) != src
+        changes[0] += bad
+        if index is not None:
+            changes[index] += (apply_affine_reflection(label, src) != dst) - bad
+    return list(accumulate(changes))
+
+
 def check_arrows(report: VerifyReport, rank: int, max_weight: int, max_elements: int) -> None:
     below = _intervals(rank)
     infinity: dict[Weight, TwistedGraph] = {}
@@ -395,10 +438,9 @@ def check_arrows(report: VerifyReport, rank: int, max_weight: int, max_elements:
             "differs",
         )
 
-        for g in views + [ginf]:
-            bad = sum(
-                1 for src, dst, label in g.edges if apply_affine_reflection(label, dst) != src
-            )
+        bad_labels = _bad_labels(interval)
+        # stage infinity turns the edges stage M turns
+        for g, bad in zip(views + [ginf], bad_labels + bad_labels[-1:]):
             report.record(
                 "edge-labels", bad == 0, f"{base} stage {g.stage} edge labels reflect head to tail", 0, bad
             )

@@ -187,3 +187,15 @@ def test_every_check_family_belongs_to_one_criterion(suites):
 def test_suite_sizes_at_rank_2_weight_3(suite, cases):
     report = run_verify(suite, 2, 3)
     assert (report.cases, report.failures) == (cases, [])
+
+
+@pytest.mark.parametrize(
+    "suite, cases",
+    [
+        ("oracles", 219), ("atoms", 262), ("strings", 76), ("arrows", 354),
+        ("gammam", 120), ("swapping", 2245), ("hecke", 92),
+    ],
+)
+def test_suite_sizes_at_rank_5_weight_5(suite, cases):
+    report = run_verify(suite, 5, 5)
+    assert (report.cases, report.failures) == (cases, [])

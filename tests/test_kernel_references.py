@@ -25,21 +25,31 @@ images looked up by an integer key; the reference runs one signature
 pass per (i, element) and rebuilds each image as a tuple of rows.  The
 tableau enumeration caps each cell by the room its column needs below;
 the reference is the uncapped loop, which backs out of dead ends.
+
+tilde_op applies u^{-1} by reading a reduced word of u forward; the
+reference inverts u and applies the inverse along a reduced word of its
+own, on every element, root and conjugator of the crystals of size <= 6
+at ranks 1-4.  atomic_number walks once per j and reads eps_k before
+each step s_k; the reference sums eps over each positive root's string,
+on the same elements, on B(1) at rank 40 and on B(2, 1) at rank 10.
 """
 
 from fractions import Fraction
 from itertools import permutations
 
 from crystalcharge.affine_graph import AffineCoroot, apply_affine_reflection, build_interval
+from crystalcharge.atoms import atomic_number
 from crystalcharge.charge_kostka import llt_gamma_raw
-from crystalcharge.crystal import Crystal, semistandard_tableaux, weyl_dimension
+from crystalcharge.crystal import Crystal, conjugating_permutation, semistandard_tableaux, weyl_dimension
 from crystalcharge.root_data import (
     bruhat_leq_dominant,
     dominant_representative,
     line_decompose,
     pairing,
     partitions,
+    perm_inverse,
     positive_roots,
+    rho_pairing,
     root_vector,
 )
 
@@ -105,6 +115,20 @@ def llt_gamma_raw_reference(c, x):
         y = c.weyl_act(perm, x)
         total += sum(i * min(c.eps(i, y), c.phi(i, y)) for i in range(1, n + 1))
     return total
+
+
+def tilde_op_reference(c, direction, beta, x, u):
+    """u f_n u^{-1} (resp. e_n) through the inverse permutation and its own reduced word."""
+    y = c.weyl_act(perm_inverse(u), x)
+    y = c.root_op(direction, (c.rank, c.rank), y)
+    if y is None:
+        return None
+    return c.weyl_act(u, y)
+
+
+def atomic_number_reference(c, x):
+    """<wt(x), rho^v> plus eps along each positive root's string, one walk per root."""
+    return rho_pairing(c.weight(x)) + sum(c.root_string_stats(beta, x).eps for beta in positive_roots(c.rank))
 
 
 def weyl_dimension_reference(lam):
@@ -276,6 +300,37 @@ def test_llt_gamma_raw_matches_per_permutation_sum():
                 c = Crystal.generate(lam, rank)
                 for x in range(c.size):
                     assert llt_gamma_raw(c, x) == llt_gamma_raw_reference(c, x)
+
+
+def small_crystals():
+    """Every crystal of size <= 6 at ranks 1-4."""
+    for rank in (1, 2, 3, 4):
+        for size in range(7):
+            for lam in dominant_weights(rank, size):
+                yield Crystal.generate(lam, rank)
+
+
+def test_tilde_op_matches_inverse_permutation_walk():
+    for c in small_crystals():
+        n = c.rank
+        for beta in positive_roots(n):
+            j, k = beta
+            conjugators = [u for u in permutations(range(n + 1)) if (u[n - 1], u[n]) == (j - 1, k)]
+            assert conjugating_permutation(n, beta) in conjugators
+            for u in conjugators:
+                for x in range(c.size):
+                    for direction in ("f", "e"):
+                        want = tilde_op_reference(c, direction, beta, x, u)
+                        assert c.tilde_op(direction, beta, x, u=u) == want
+                        if u == conjugating_permutation(n, beta):
+                            assert c.tilde_op(direction, beta, x) == want
+
+
+def test_atomic_number_matches_per_root_sum():
+    crystals = list(small_crystals()) + [Crystal.generate((1,), 40), Crystal.generate((2, 1), 10)]
+    for c in crystals:
+        for x in range(c.size):
+            assert atomic_number(c, x) == atomic_number_reference(c, x)
 
 
 def test_weyl_dimension_matches_weyl_product():
