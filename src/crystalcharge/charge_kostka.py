@@ -340,6 +340,20 @@ def llt_gamma(crystal: Crystal, x: int) -> int:
 # -- Kostka-Foulkes polynomials ------------------------------------------------
 
 
+def kostka_weight(mu: Weight, lam: Weight) -> Weight:
+    """mu padded with zeros to the length of lambda; ValueError unless dominant and below lambda.
+
+    Needs only the shape, so a caller can check mu before building B(lambda).
+    """
+    mu = tuple(mu)
+    mu += (0,) * (len(lam) - len(mu))
+    if not is_dominant(mu):
+        raise ValueError(f"mu = {mu} is not dominant")
+    if not bruhat_leq_dominant(mu, lam):
+        raise ValueError(f"mu = {mu} is not below lambda = {lam}")
+    return mu
+
+
 def kostka(crystal: Crystal, mu: Weight, method: str = "new") -> HalfLaurentPolynomial:
     """K_{lambda,mu}(q) over the crystal B(lambda), by one of four routes.
 
@@ -349,14 +363,7 @@ def kostka(crystal: Crystal, mu: Weight, method: str = "new") -> HalfLaurentPoly
     """
     if method not in KOSTKA_METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {KOSTKA_METHODS}")
-    lam = crystal.shape
-    mu = tuple(mu)
-    mu += (0,) * (len(lam) - len(mu))
-    if not is_dominant(mu):
-        raise ValueError(f"mu = {mu} is not dominant")
-    if not bruhat_leq_dominant(mu, lam):
-        raise ValueError(f"mu = {mu} is not below lambda = {lam}")
-    elements = crystal.elements_of_weight(mu)
+    elements = crystal.elements_of_weight(kostka_weight(mu, crystal.shape))
     if method == "count":
         return HalfLaurentPolynomial.monomial(0, len(elements))
     result = HalfLaurentPolynomial.zero()

@@ -26,6 +26,7 @@ import contextlib
 import json
 import os
 import sys
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional
 
@@ -35,9 +36,10 @@ from .charge_kostka import (
     KOSTKA_METHODS,
     hecke_atomic_expansion,
     kostka,
+    kostka_weight,
     recharge_table,
 )
-from .crystal import DEFAULT_MAX_ELEMENTS, Crystal, normalize_shape
+from .crystal import DEFAULT_MAX_ELEMENTS, Crystal, capped_dimension, normalize_shape
 from .root_data import format_weight
 from .verify import SUITES, run_verify
 
@@ -100,13 +102,17 @@ def _write_out(path: Path, text: str) -> None:
 
 def _cmd_kostka(args) -> tuple[str, int]:
     mu = _parse_csv(args.mu)
-    crystal = _load_crystal(args)
+    # a bad shape, then the size cap, then a bad mu, all before any tableau is enumerated
+    lam = normalize_shape(_parse_csv(args.weight), args.rank)
+    capped_dimension(lam, args.rank, args.max_elements)
+    mu = kostka_weight(mu, lam)
+    crystal = Crystal.generate(lam, args.rank, args.max_elements)
     poly = kostka(crystal, mu, args.method)
     if args.format == "json":
         payload = {
             "rank": args.rank,
             "lambda": list(crystal.shape),
-            "mu": list(mu) + [0] * (args.rank + 1 - len(mu)),
+            "mu": list(mu),
             "method": args.method,
             "kostka": poly.to_json_dict(),
             "text": poly.text(),
@@ -292,9 +298,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call of main and reused by every later one."""
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if getattr(args, "rank", 1) < 1:
         print("error: rank must be >= 1", file=sys.stderr)
         return 2

@@ -26,8 +26,15 @@ f_a = w f_k w^{-1} with w = s_j ... s_{k-1} for a = a_{j,k}, and the
 operators obtained by conjugating f_n, e_n with any u satisfying
 u(a_n) = a.
 
-A Crystal is immutable once generated; all queries are pure and safe to
-call from any number of threads.
+Generating a crystal enumerates its tableaux and computes their
+weights, the elements of each weight and the highest element; the five
+operator tables are built together on the first read of any of them
+(f, e, eps, phi, s_i and every operator or statistic built on them, or
+the JSON dump).  So weight queries and the `ls` and `count` Kostka routes
+build no table.  A Crystal is immutable once generated; all queries are
+pure and safe to call from any number of threads.  Two threads that
+read a table first may both build it, and both builds give identical
+tables.
 """
 
 from __future__ import annotations
@@ -49,6 +56,9 @@ OperatorTable = tuple[tuple[Optional[int], ...], ...]
 IntTable = tuple[tuple[int, ...], ...]
 
 DEFAULT_MAX_ELEMENTS = 2_000_000
+
+# the Crystal attributes that _operator_tables fills, in its order
+_TABLE_NAMES = ("_f", "_e", "_eps", "_phi", "_si")
 
 
 class CrystalSizeError(ValueError):
@@ -107,6 +117,16 @@ def weyl_dimension(shape: tuple[int, ...], rank: int) -> int:
     dim, remainder = divmod(numerator, denominator)
     if remainder:
         raise CrystalStructureError(f"Weyl dimension of shape {lam} is not an integer")
+    return dim
+
+
+def capped_dimension(lam: Weight, rank: int, max_elements: int) -> int:
+    """The size of B(lam) for a normalized shape; CrystalSizeError past max_elements."""
+    dim = weyl_dimension(lam, rank)
+    if dim > max_elements:
+        raise CrystalSizeError(
+            f"crystal of shape {lam} at rank {rank} has {dim} elements, exceeding the cap of {max_elements}"
+        )
     return dim
 
 
@@ -196,11 +216,28 @@ class Crystal:
     """The crystal of all semistandard tableaux of one shape.
 
     Use :meth:`generate`; the constructor, which takes the elements, is
-    internal.  Elements are referred to by id.  One scan of each
-    element's reading word fills the f_i, e_i, eps_i, phi_i and s_i
-    tables for every i (s_i swaps the unmatched exponents eps_i and
-    phi_i); everything else is derived from them.
+    internal.  Elements are referred to by id.  The weights, the
+    elements of each weight and the highest element are computed at
+    construction.  The f_i, e_i, eps_i, phi_i and s_i tables for every
+    i (s_i swaps the unmatched exponents eps_i and phi_i) are filled by
+    one scan of each element's reading word, on the first read of any of
+    them; from then on they are plain attributes, and every operator is
+    derived from them.  The checks that every f_i and e_i image is an
+    element and that e_i kills the highest element run with that scan.
+
+    Until then the crystal is a _UnbuiltCrystal, whose __getattr__
+    builds the tables on a read of an unset table slot; the build turns
+    it back into a Crystal.  The hook sits on a subclass, and the
+    attributes in slots, because CPython 3.11 speeds up an attribute read
+    only on a class with no __getattr__ and no descriptor of that name,
+    and assigning __class__ turns an object's attribute dict into a
+    plain dict that it reads more slowly, while slots are unaffected.
+    So a built crystal reads its tables as fast as one whose tables were
+    built at construction.
     """
+
+    # __dict__ holds gamma_summands once computed
+    __slots__ = ("rank", "shape", "elements", "weights", "_by_weight", "highest", *_TABLE_NAMES, "__dict__")
 
     def __init__(self, rank: int, shape: Weight, elements: tuple[TableauRows, ...]):
         self.rank = rank
@@ -209,7 +246,6 @@ class Crystal:
         # one tuple per distinct weight, shared by every element of that weight
         shared: dict[Weight, Weight] = {}
         self.weights = tuple(shared.setdefault(mu, mu) for mu in map(content, elements, repeat(rank)))
-        self._f, self._e, self._eps, self._phi, self._si = _operator_tables(elements, rank)
 
         by_weight: dict[Weight, list[int]] = {}
         for x, mu in enumerate(self.weights):
@@ -218,10 +254,15 @@ class Crystal:
 
         tops = self._by_weight.get(self.shape, ())
         if len(tops) != 1:
+            # the scan names a missing or repeated tableau, a more precise error, when there is one
+            _operator_tables(elements, rank)
             raise CrystalStructureError(f"{len(tops)} elements of highest weight, expected one")
         self.highest = tops[0]
-        if any(self._e[i][self.highest] is not None for i in range(rank)):
-            raise CrystalStructureError("the highest-weight element is not killed by every e_i")
+        self.__class__ = _UnbuiltCrystal
+
+    def __reduce__(self):
+        """Pickle and copy as the elements alone, so no read of an unset table builds it."""
+        return Crystal, (self.rank, self.shape, self.elements)
 
     # -- construction -------------------------------------------------
 
@@ -229,17 +270,13 @@ class Crystal:
     def generate(
         cls, shape: tuple[int, ...], rank: int, max_elements: int = DEFAULT_MAX_ELEMENTS
     ) -> "Crystal":
-        """Materialize B(lambda) with operator tables.
+        """Enumerate the tableaux of B(lambda); the operator tables wait for their first read.
 
         Raises CrystalSizeError when the element count would exceed
         max_elements.
         """
         lam = normalize_shape(shape, rank)
-        dim = weyl_dimension(lam, rank)
-        if dim > max_elements:
-            raise CrystalSizeError(
-                f"crystal of shape {lam} at rank {rank} has {dim} elements, exceeding the cap of {max_elements}"
-            )
+        dim = capped_dimension(lam, rank, max_elements)
         elements = tuple(semistandard_tableaux(lam, rank + 1))
         if len(elements) != dim:
             raise CrystalStructureError(f"{len(elements)} tableaux of shape {lam}, expected {dim}")
@@ -374,6 +411,27 @@ class Crystal:
                 if y is not None
             ],
         }
+
+
+class _UnbuiltCrystal(Crystal):
+    """A Crystal whose operator tables are not built yet."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name: str):
+        """Build all five tables on the first read of any of them, and become a Crystal.
+
+        Python calls this only when normal lookup fails, that is, for an
+        unset slot or a missing attribute.
+        """
+        if name not in _TABLE_NAMES:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        tables = _operator_tables(self.elements, self.rank)
+        if any(e_row[self.highest] is not None for e_row in tables[1]):
+            raise CrystalStructureError("the highest-weight element is not killed by every e_i")
+        self._f, self._e, self._eps, self._phi, self._si = tables
+        self.__class__ = Crystal
+        return getattr(self, name)
 
 
 def _operator_tables(

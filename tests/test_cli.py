@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from crystalcharge import cli
+from crystalcharge import crystal as crystal_module
 from crystalcharge.crystal import Crystal
 from crystalcharge.verify import VerifyReport
 
@@ -256,6 +257,43 @@ def test_invalid_partition_exits_2(capsys):
 def test_too_many_parts_exits_2(capsys):
     status, _, err = run_cli(capsys, "crystal", "--rank", "1", "--weight", "1,1,1")
     assert status == 2
+
+
+@pytest.mark.parametrize(
+    "request_args, err",
+    [
+        ("--weight 6,4,2 --mu 7,5", "error: mu = (7, 5, 0, 0, 0, 0) is not below lambda = (6, 4, 2, 0, 0, 0)\n"),
+        ("--weight 6,4,2 --mu 1,2,3,3,3", "error: mu = (1, 2, 3, 3, 3, 0) is not dominant\n"),
+        ("--weight 6,4,2 --mu 1,1 --method ls", "error: coordinate sums differ (2 vs 12): weights lie in different root-lattice cosets\n"),
+        (
+            "--weight 6,4,2 --mu 7,5 --max-elements 100",
+            "error: crystal of shape (6, 4, 2, 0, 0, 0) at rank 5 has 62370 elements, exceeding the cap of 100\n",
+        ),
+        ("--weight 4,6,2 --mu 7,5 --max-elements 100", "error: shape (4, 6, 2) is not weakly decreasing\n"),
+    ],
+    ids=["not-below", "not-dominant", "wrong-sum", "cap-before-mu", "shape-before-cap"],
+)
+def test_bad_kostka_request_fails_before_enumeration(capsys, monkeypatch, request_args, err):
+    """Shape, then size cap, then mu: each is checked before a tableau of B(6,4,2) at rank 5 is listed."""
+    enumerated = []
+    monkeypatch.setattr(crystal_module, "semistandard_tableaux", lambda *args: enumerated.append(args) or iter(()))
+    assert run_cli(capsys, "kostka", "--rank", "5", *request_args.split()) == (2, "", err)
+    assert enumerated == []
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    argv = ("kostka", "--rank", "2", "--weight", "2,1,0", "--mu", "1,1,1")
+    assert run_cli(capsys, *argv) == (0, "q^2 + q\n", "")
+    with pytest.raises(SystemExit):
+        cli.main(["kostka", "--rank", "2"])
+    assert "the following arguments are required: --weight, --mu" in capsys.readouterr().err
+    assert run_cli(capsys, *argv) == (0, "q^2 + q\n", "")
+    assert builds == [1]
+    assert cli._parser().format_help() == build().format_help()
 
 
 def test_size_cap_exits_2(capsys):
