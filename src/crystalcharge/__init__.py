@@ -41,7 +41,6 @@ from .charge_kostka import (
     kostka_from_hecke,
     llt_gamma,
     ls_word_charge,
-    reading_word,
     recharge,
     recharge_table,
     swapping_map,
@@ -51,13 +50,13 @@ from .crystal import (
     CrystalSizeError,
     StringStats,
     normalize_shape,
+    reading_word,
     semistandard_tableaux,
     weyl_dimension,
 )
 from .root_data import (
     LineOrder,
     bruhat_leq_dominant,
-    dominant_representative,
     is_dominant,
     length,
     length_along,
@@ -66,62 +65,5 @@ from .root_data import (
     positive_roots,
     rho_pairing,
     root_vector,
-    weyl_apply_weight,
 )
 from .verify import VerifyReport, run_verify, validate_atom
-
-__all__ = [
-    "AffineCoroot",
-    "Atom",
-    "AtomDecomposition",
-    "AtomStructureError",
-    "Crystal",
-    "CrystalSizeError",
-    "HalfLaurentPolynomial",
-    "HeckeExpansion",
-    "IntervalGraph",
-    "LineOrder",
-    "RechargeTable",
-    "STAGE_INFINITY",
-    "StringStats",
-    "SwappingError",
-    "TwistedGraph",
-    "VerifyReport",
-    "apply_affine_reflection",
-    "arr_infinity_formula",
-    "atomic_number",
-    "bplus_components",
-    "bruhat_leq_dominant",
-    "build_graph",
-    "build_interval",
-    "charge",
-    "decompose",
-    "dominant_representative",
-    "hecke_atomic_expansion",
-    "interval_graph",
-    "interval_size",
-    "is_dominant",
-    "kostka",
-    "kostka_from_hecke",
-    "length",
-    "length_along",
-    "line_compare",
-    "llt_gamma",
-    "ls_word_charge",
-    "normalize_shape",
-    "pairing",
-    "positive_roots",
-    "reading_word",
-    "recharge",
-    "recharge_table",
-    "rho_pairing",
-    "root_vector",
-    "run_verify",
-    "semistandard_tableaux",
-    "stabilization_stage",
-    "stage_reflection",
-    "swapping_map",
-    "validate_atom",
-    "weyl_apply_weight",
-    "weyl_dimension",
-]

@@ -42,7 +42,7 @@ from .affine_graph import (
     stage_reflection,
 )
 from .atoms import AtomDecomposition, atomic_number, decompose
-from .crystal import Crystal, TableauRows
+from .crystal import Crystal, reading_word
 from .root_data import (
     LineOrder,
     Weight,
@@ -236,11 +236,6 @@ def recharge_table(
 
 
 # -- classical word charge (first oracle) ------------------------------------
-
-
-def reading_word(rows: TableauRows) -> tuple[int, ...]:
-    """Rows bottom to top, each row left to right."""
-    return tuple(v for r in range(len(rows) - 1, -1, -1) for v in rows[r])
 
 
 def _word_content(word: Sequence[int]) -> list[int]:

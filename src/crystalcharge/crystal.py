@@ -40,7 +40,7 @@ tables.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import chain, repeat
+from itertools import chain, permutations, repeat
 from math import comb
 from typing import Iterator, NamedTuple, Optional
 
@@ -139,16 +139,9 @@ def content(rows: TableauRows, rank: int) -> Weight:
     return tuple(counts)
 
 
-def is_semistandard(rows: TableauRows, max_entry: int) -> bool:
-    for r, row in enumerate(rows):
-        for c, v in enumerate(row):
-            if not 1 <= v <= max_entry:
-                return False
-            if c > 0 and row[c - 1] > v:
-                return False
-            if r > 0 and c < len(rows[r - 1]) and rows[r - 1][c] >= v:
-                return False
-    return True
+def reading_word(rows: TableauRows) -> tuple[int, ...]:
+    """Rows bottom to top, each row left to right."""
+    return tuple(chain.from_iterable(reversed(rows)))
 
 
 def semistandard_tableaux(parts: tuple[int, ...], max_entry: int) -> Iterator[TableauRows]:
@@ -193,23 +186,25 @@ def semistandard_tableaux(parts: tuple[int, ...], max_entry: int) -> Iterator[Ta
         rows[r][c] = lo - 1
 
 
+def conjugators(rank: int, beta: Root) -> Iterator[Permutation]:
+    """Every u in S_{n+1} with u(a_n) = beta, the order-preserving one first.
+
+    u sends n to j and n+1 to k+1 (1-based letters) and the remaining
+    letters anywhere; there are (n-1)! of them.
+    """
+    j, k = beta
+    rest_targets = [t for t in range(rank + 1) if t != j - 1 and t != k]
+    for assignment in permutations(rest_targets):
+        yield (*assignment, j - 1, k)
+
+
 @lru_cache(maxsize=None)
 def conjugating_permutation(rank: int, beta: Root) -> Permutation:
     """The order-preserving u in S_{n+1} with u(a_n) = beta.
 
-    u sends n to j and n+1 to k+1 (1-based letters) and keeps the
-    relative order of the remaining letters.
+    It keeps the relative order of the letters other than n and n+1.
     """
-    j, k = beta
-    size = rank + 1
-    u = [-1] * size
-    u[rank - 1] = j - 1
-    u[rank] = k
-    rest_targets = [t for t in range(size) if t != j - 1 and t != k]
-    rest_sources = range(size - 2)
-    for s, t in zip(rest_sources, rest_targets):
-        u[s] = t
-    return tuple(u)
+    return next(conjugators(rank, beta))
 
 
 class Crystal:
@@ -315,12 +310,6 @@ class Crystal:
     def si_row(self, i: int) -> tuple[int, ...]:
         """s_i of every element, indexed by id."""
         return self._si[i - 1]
-
-    def weyl_act(self, w: Permutation, x: int) -> int:
-        """Apply w along a reduced word, rightmost letter first; any word gives the same."""
-        for i in reversed(reduced_word(w)):
-            x = self._si[i - 1][x]
-        return x
 
     # -- modified operators f_a = w f_k w^{-1} ---------------------------
 
@@ -477,7 +466,7 @@ def _signature_rows(
     width = 8 * digit_bytes
     letter = [v.to_bytes(digit_bytes, "little") for v in range(rank + 2)].__getitem__
     index = {
-        int.from_bytes(b"".join(map(letter, chain.from_iterable(reversed(rows)))), "little"): x
+        int.from_bytes(b"".join(map(letter, reading_word(rows))), "little"): x
         for x, rows in enumerate(elements)
     }
     if len(index) != size:

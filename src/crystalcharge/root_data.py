@@ -9,8 +9,8 @@ equality of SL-weights is plain tuple equality.
 A positive root a_{j,k} = a_j + ... + a_k is stored as the index pair
 (j, k) with 1 <= j <= k <= n.  As a vector it has +1 at position j, -1
 at position k+1 and 0 elsewhere.  Weyl group elements are permutations
-of {0, ..., n} in one-line notation, acting on weights by permuting
-coordinates; the simple reflection s_i swaps positions i and i+1
+of {0, ..., n} in one-line notation; reduced_word writes one as a word
+in the simple reflections s_i, s_i swapping positions i and i+1
 (1-based).
 
 Everything here is a pure function on immutable tuples and safe to call
@@ -93,46 +93,6 @@ def is_dominant(mu: Weight) -> bool:
     return all(mu[i] >= mu[i + 1] for i in range(len(mu) - 1))
 
 
-def weyl_apply_weight(w: Permutation, mu: Weight) -> Weight:
-    """Act by the permutation w on coordinates: (w.mu)_{w(i)} = mu_i."""
-    out = [0] * len(mu)
-    for i, wi in enumerate(w):
-        out[wi] = mu[i]
-    return tuple(out)
-
-
-def perm_identity(size: int) -> Permutation:
-    return tuple(range(size))
-
-
-def perm_inverse(w: Permutation) -> Permutation:
-    out = [0] * len(w)
-    for i, wi in enumerate(w):
-        out[wi] = i
-    return tuple(out)
-
-
-def perm_compose(v: Permutation, w: Permutation) -> Permutation:
-    """The composite v . w (w applied first)."""
-    return tuple(v[wi] for wi in w)
-
-
-def simple_reflection(i: int, size: int) -> Permutation:
-    """s_i as a permutation of {0, ..., size-1}; swaps positions i, i+1 (1-based)."""
-    if not 1 <= i <= size - 1:
-        raise ValueError(f"invalid simple reflection index {i} for size {size}")
-    out = list(range(size))
-    out[i - 1], out[i] = out[i], out[i - 1]
-    return tuple(out)
-
-
-def transposition(j: int, k: int, size: int) -> Permutation:
-    """The reflection s_beta for beta = a_{j,k}, i.e. the transposition (j, k+1)."""
-    out = list(range(size))
-    out[j - 1], out[k] = out[k], out[j - 1]
-    return tuple(out)
-
-
 @lru_cache(maxsize=None)
 def reduced_word(w: Permutation) -> tuple[int, ...]:
     """A reduced word (i_1, ..., i_r) with w = s_{i_1} ... s_{i_r}.
@@ -155,22 +115,6 @@ def reduced_word(w: Permutation) -> tuple[int, ...]:
                 changed = True
     word.reverse()
     return tuple(word)
-
-
-def dominant_representative(mu: Weight) -> tuple[Weight, Permutation]:
-    """The dominant weight mu+ in W.mu together with a w such that w(mu) = mu+.
-
-    w is the stable sorting permutation: equal coordinates keep their
-    original order.  It is not necessarily of minimal length.
-
-    >>> dominant_representative((0, 1, 2))
-    ((2, 1, 0), (2, 1, 0))
-    """
-    order = sorted(range(len(mu)), key=lambda i: (-mu[i], i))
-    w = [0] * len(mu)
-    for rank_pos, src in enumerate(order):
-        w[src] = rank_pos
-    return tuple(mu[i] for i in order), tuple(w)
 
 
 def bruhat_leq_dominant(mu: Weight, lam: Weight) -> bool:

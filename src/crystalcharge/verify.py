@@ -54,7 +54,7 @@ from .charge_kostka import (
     recharge,
     swapping_map,
 )
-from .crystal import DEFAULT_MAX_ELEMENTS, Crystal, conjugating_permutation, normalize_shape
+from .crystal import DEFAULT_MAX_ELEMENTS, Crystal, conjugating_permutation, conjugators, normalize_shape
 from .root_data import (
     LineOrder,
     Weight,
@@ -277,20 +277,6 @@ def check_atoms(report: VerifyReport, rank: int, max_weight: int, max_elements: 
 # -- suite: strings ------------------------------------------------------------
 
 
-def _all_conjugators(rank: int, beta) -> list[tuple[int, ...]]:
-    """Every permutation u with u(a_n) = beta (there are (n-1)! of them)."""
-    from itertools import permutations as iter_perms
-
-    j, k = beta
-    size = rank + 1
-    rest_targets = [t for t in range(size) if t != j - 1 and t != k]
-    out = []
-    for assignment in iter_perms(rest_targets):
-        u = list(assignment) + [j - 1, k]
-        out.append(tuple(u))
-    return out
-
-
 def _weyl_tables(c: Crystal) -> Callable[[tuple[int, ...]], list[int]]:
     """(i_1, ..., i_r) -> the crystal permutation of s_(i_1) ... s_(i_r), indexed by id.
 
@@ -339,7 +325,7 @@ def check_strings(report: VerifyReport, rank: int, max_weight: int, max_elements
             for beta in roots:
                 reference = conjugating_permutation(rank, beta)
                 expected = {d: [c.tilde_op(d, beta, x) for x in range(c.size)] for d in last}
-                for u in _all_conjugators(rank, beta):
+                for u in conjugators(rank, beta):
                     if u == reference:
                         continue
                     word = reduced_word(u)

@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from test_kernel_references import weyl_act
 
 from crystalcharge.atoms import (
     Atom,
@@ -14,11 +15,13 @@ from crystalcharge.atoms import (
 from crystalcharge.crystal import Crystal
 from crystalcharge.root_data import (
     bruhat_leq_dominant,
+    dominant_interval,
     is_dominant,
+    partitions,
     rho_pairing,
     root_vector,
 )
-from crystalcharge.verify import VerifyReport, dominant_interval, partitions, validate_atom
+from crystalcharge.verify import VerifyReport, validate_atom
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +40,7 @@ def full_orbit_components(crystal):
     adjacency = {x: set() for x in range(crystal.size)}
     for x in range(crystal.size):
         for w in permutations(range(n + 1)):
-            adjacency[x].add(crystal.weyl_act(w, x))
+            adjacency[x].add(weyl_act(crystal, w, x))
         y = crystal.f(n, x)
         if y is not None:
             adjacency[x].add(y)

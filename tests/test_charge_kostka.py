@@ -15,14 +15,13 @@ from crystalcharge.charge_kostka import (
     llt_gamma,
     llt_gamma_raw,
     ls_word_charge,
-    reading_word,
     recharge,
     recharge_table,
     swapping_map,
 )
-from crystalcharge.crystal import Crystal
-from crystalcharge.root_data import is_dominant, length, rho_pairing
-from crystalcharge.verify import dominant_interval, sweep_shapes
+from crystalcharge.crystal import Crystal, reading_word
+from crystalcharge.root_data import dominant_interval, is_dominant, length, rho_pairing
+from crystalcharge.verify import sweep_shapes
 
 P = HalfLaurentPolynomial
 

@@ -2,7 +2,7 @@
 
 apply_affine_reflection, bruhat_leq_dominant and line_decompose work on
 two coordinates or on a sorted copy in place.  The references below are
-their earlier forms, through root_vector, dominant_representative and a
+their earlier forms, through root_vector, sorted(mu, reverse=True) and a
 full difference vector; they are compared on every weight below each
 dominant weight of size <= 6 at ranks 1-3 (line_decompose on every pair
 of them, sizes mixed), errors and messages included.
@@ -29,9 +29,17 @@ the reference is the uncapped loop, which backs out of dead ends.
 tilde_op applies u^{-1} by reading a reduced word of u forward; the
 reference inverts u and applies the inverse along a reduced word of its
 own, on every element, root and conjugator of the crystals of size <= 6
-at ranks 1-4.  atomic_number walks once per j and reads eps_k before
-each step s_k; the reference sums eps over each positive root's string,
-on the same elements, on B(1) at rank 40 and on B(2, 1) at rank 10.
+at ranks 1-4.  The conjugators are the permutations with u(a_n) = a,
+filtered from all of them; conjugators() must list them in the same
+lexicographic order, the order-preserving one first.  atomic_number
+walks once per j and reads eps_k before each step s_k; the reference
+sums eps over each positive root's string, on the same elements, on
+B(1) at rank 40 and on B(2, 1) at rank 10.
+
+The permutation helpers (perm_compose, simple_reflection,
+weyl_apply_weight, and weyl_act along the crystal's s_i) and
+is_semistandard are oracles for the other test modules; the package
+itself needs none of them.
 """
 
 from fractions import Fraction
@@ -40,18 +48,63 @@ from itertools import permutations
 from crystalcharge.affine_graph import AffineCoroot, apply_affine_reflection, build_interval
 from crystalcharge.atoms import atomic_number
 from crystalcharge.charge_kostka import llt_gamma_raw
-from crystalcharge.crystal import Crystal, conjugating_permutation, semistandard_tableaux, weyl_dimension
+from crystalcharge.crystal import (
+    Crystal,
+    conjugating_permutation,
+    conjugators,
+    semistandard_tableaux,
+    weyl_dimension,
+)
 from crystalcharge.root_data import (
     bruhat_leq_dominant,
-    dominant_representative,
     line_decompose,
     pairing,
     partitions,
-    perm_inverse,
     positive_roots,
+    reduced_word,
     rho_pairing,
     root_vector,
 )
+
+
+def perm_compose(v, w):
+    """The composite v . w of permutations in one-line notation (w applied first)."""
+    return tuple(v[wi] for wi in w)
+
+
+def simple_reflection(i, size):
+    """s_i as a permutation of {0, ..., size-1}; swaps positions i, i+1 (1-based)."""
+    out = list(range(size))
+    out[i - 1], out[i] = out[i], out[i - 1]
+    return tuple(out)
+
+
+def weyl_apply_weight(w, mu):
+    """Act by the permutation w on coordinates: (w.mu)_{w(i)} = mu_i."""
+    out = [0] * len(mu)
+    for i, wi in enumerate(w):
+        out[wi] = mu[i]
+    return tuple(out)
+
+
+def weyl_act(c, w, x):
+    """Apply w to the element x along a reduced word, rightmost letter first; any word gives the same."""
+    for i in reversed(reduced_word(w)):
+        x = c.si(i, x)
+    return x
+
+
+def is_semistandard(rows, max_entry):
+    """Entries in 1..max_entry, rows weakly increasing, columns strictly increasing."""
+    for r, row in enumerate(rows):
+        for c, v in enumerate(row):
+            if not 1 <= v <= max_entry:
+                return False
+            if c > 0 and row[c - 1] > v:
+                return False
+            if r > 0 and c < len(rows[r - 1]) and rows[r - 1][c] >= v:
+                return False
+    return True
 
 
 def reflect_reference(a, mu):
@@ -63,9 +116,8 @@ def reflect_reference(a, mu):
 
 
 def bruhat_reference(mu, lam):
-    mu_plus, _ = dominant_representative(mu)
     partial = 0
-    for a, b in zip(mu_plus, lam):
+    for a, b in zip(sorted(mu, reverse=True), lam):
         partial += a - b
         if partial > 0:
             return False
@@ -112,18 +164,19 @@ def llt_gamma_raw_reference(c, x):
     n = c.rank
     total = 0
     for perm in permutations(range(n + 1)):
-        y = c.weyl_act(perm, x)
+        y = weyl_act(c, perm, x)
         total += sum(i * min(c.eps(i, y), c.phi(i, y)) for i in range(1, n + 1))
     return total
 
 
 def tilde_op_reference(c, direction, beta, x, u):
     """u f_n u^{-1} (resp. e_n) through the inverse permutation and its own reduced word."""
-    y = c.weyl_act(perm_inverse(u), x)
+    u_inverse = tuple(sorted(range(len(u)), key=u.__getitem__))
+    y = weyl_act(c, u_inverse, x)
     y = c.root_op(direction, (c.rank, c.rank), y)
     if y is None:
         return None
-    return c.weyl_act(u, y)
+    return weyl_act(c, u, y)
 
 
 def atomic_number_reference(c, x):
@@ -315,14 +368,15 @@ def test_tilde_op_matches_inverse_permutation_walk():
         n = c.rank
         for beta in positive_roots(n):
             j, k = beta
-            conjugators = [u for u in permutations(range(n + 1)) if (u[n - 1], u[n]) == (j - 1, k)]
-            assert conjugating_permutation(n, beta) in conjugators
-            for u in conjugators:
+            every = [u for u in permutations(range(n + 1)) if (u[n - 1], u[n]) == (j - 1, k)]
+            assert list(conjugators(n, beta)) == every
+            assert conjugating_permutation(n, beta) == every[0]
+            for u in every:
                 for x in range(c.size):
                     for direction in ("f", "e"):
                         want = tilde_op_reference(c, direction, beta, x, u)
                         assert c.tilde_op(direction, beta, x, u=u) == want
-                        if u == conjugating_permutation(n, beta):
+                        if u == every[0]:
                             assert c.tilde_op(direction, beta, x) == want
 
 
