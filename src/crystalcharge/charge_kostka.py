@@ -10,9 +10,10 @@ nonnegative integer and generates the Kostka-Foulkes polynomial
 
     K_{lambda,mu}(q) = sum over elements of weight mu of q^charge.
 
-Two independent classical oracles are provided: the word charge
-(computed from reading words alone by standard-subword extraction and
-the index rule, no crystal operators) and the Weyl-averaged statistic
+kostka's "new" route evaluates it on reading words, with eps_k and s_k
+taken on the word.  Two independent classical oracles are provided:
+the word charge (standard-subword extraction and the index rule on
+reading words, no crystal operators) and the Weyl-averaged statistic
 
     gamma_n(x) = 1/(n+1)! * sum over sigma in W, i in 1..n
                  of i * min(eps_i(sigma x), phi_i(sigma x)).
@@ -42,7 +43,7 @@ from .affine_graph import (
     stage_reflection,
 )
 from .atoms import AtomDecomposition, atomic_number, decompose
-from .crystal import Crystal, reading_word
+from .crystal import Crystal, reading_word, unmatched_letters
 from .root_data import (
     LineOrder,
     Weight,
@@ -181,6 +182,21 @@ def charge(crystal: Crystal, x: int) -> Fraction:
     eps over all positive roots.
     """
     return atomic_number(crystal, x) - Fraction(length(crystal.weight(x)), 2)
+
+
+def word_eps_sum(word: Sequence[int], rank: int) -> int:
+    """Z - <wt, rho^v>: eps_k(s_{k-1} ... s_j w) over j <= k, one walk of s_k per j on the word w."""
+    total = 0
+    for j in range(1, rank + 1):
+        y = list(word)
+        for k in range(j, rank + 1):
+            lo, hi = unmatched_letters(y, k)
+            total += len(hi)
+            if k < rank:
+                # s_k: the run's first eps positions read k, the rest k+1
+                for q, p in enumerate(lo + hi):
+                    y[p] = k if q < len(hi) else k + 1
+    return total
 
 
 @dataclass(frozen=True)
@@ -352,19 +368,21 @@ def kostka_weight(mu: Weight, lam: Weight) -> Weight:
 def kostka(crystal: Crystal, mu: Weight, method: str = "new") -> HalfLaurentPolynomial:
     """K_{lambda,mu}(q) over the crystal B(lambda), by one of four routes.
 
-    "new" sums q^charge, "ls" scores reading words, "llt" averages over
-    the Weyl group, "count" returns the constant bare multiplicity.  mu
-    is padded with zeros to the length of lambda.
+    "new" sums q^charge, read on reading words, "ls" scores reading words,
+    "llt" averages over the Weyl group, "count" returns the constant bare
+    multiplicity.  mu is padded with zeros to the length of lambda.
     """
     if method not in KOSTKA_METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {KOSTKA_METHODS}")
-    elements = crystal.elements_of_weight(kostka_weight(mu, crystal.shape))
+    mu = kostka_weight(mu, crystal.shape)
+    elements = crystal.elements_of_weight(mu)
     if method == "count":
         return HalfLaurentPolynomial.monomial(0, len(elements))
+    offset = rho_pairing(mu) - Fraction(length(mu), 2)
     result = HalfLaurentPolynomial.zero()
     for x in elements:
         if method == "new":
-            value = charge(crystal, x)
+            value = offset + word_eps_sum(reading_word(crystal.elements[x]), crystal.rank)
             if value.denominator != 1 or value < 0:
                 raise ArithmeticError(
                     f"charge {value} of dominant-weight element {x} is not a nonnegative integer"

@@ -30,11 +30,11 @@ Generating a crystal enumerates its tableaux and computes their
 weights, the elements of each weight and the highest element; the five
 operator tables are built together on the first read of any of them
 (f, e, eps, phi, s_i and every operator or statistic built on them, or
-the JSON dump).  So weight queries and the `ls` and `count` Kostka routes
-build no table.  A Crystal is immutable once generated; all queries are
-pure and safe to call from any number of threads.  Two threads that
-read a table first may both build it, and both builds give identical
-tables.
+the JSON dump).  So weight queries and the `new`, `ls` and `count`
+Kostka routes build no table (`new` applies unmatched_letters to reading
+words).  A Crystal is immutable once generated; all queries are pure and
+safe to call from any number of threads.  Two threads that read a table
+first may both build it, and both builds give identical tables.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 from itertools import chain, permutations, repeat
 from math import comb
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .root_data import (
     Permutation,
@@ -144,6 +144,28 @@ def reading_word(rows: TableauRows) -> tuple[int, ...]:
     return tuple(chain.from_iterable(reversed(rows)))
 
 
+def unmatched_letters(word: Sequence[int], i: int) -> tuple[list[int], list[int]]:
+    """The positions of a word's unmatched i letters and unmatched i+1 letters.
+
+    An i letter cancels the nearest unmatched i+1 letter to its left; the
+    rest reads i^phi (i+1)^eps, and s_i rewrites it as i^eps (i+1)^phi.
+    The tables scan every index at once instead (_signature_rows).
+
+    >>> unmatched_letters((2, 1, 1, 2, 2), 1)
+    ([2], [3, 4])
+    """
+    lo, hi, up = [], [], i + 1
+    for p, v in enumerate(word):
+        if v == up:
+            hi.append(p)
+        elif v == i:
+            if hi:
+                hi.pop()
+            else:
+                lo.append(p)
+    return lo, hi
+
+
 def semistandard_tableaux(parts: tuple[int, ...], max_entry: int) -> Iterator[TableauRows]:
     """All semistandard tableaux of the given shape, in deterministic order.
 
@@ -211,14 +233,14 @@ class Crystal:
     """The crystal of all semistandard tableaux of one shape.
 
     Use :meth:`generate`; the constructor, which takes the elements, is
-    internal.  Elements are referred to by id.  The weights, the
-    elements of each weight and the highest element are computed at
-    construction.  The f_i, e_i, eps_i, phi_i and s_i tables for every
-    i (s_i swaps the unmatched exponents eps_i and phi_i) are filled by
-    one scan of each element's reading word, on the first read of any of
-    them; from then on they are plain attributes, and every operator is
-    derived from them.  The checks that every f_i and e_i image is an
-    element and that e_i kills the highest element run with that scan.
+    internal.  Elements are referred to by id.  The weights, the elements
+    of each weight and the highest element, all that the `new`, `ls` and
+    `count` Kostka routes read, are computed at construction.  The f_i,
+    e_i, eps_i, phi_i and s_i tables for every i are filled by one scan
+    of each element's reading word, on the first read of any of them;
+    from then on they are plain attributes, and every operator is derived
+    from them.  The checks that every f_i and e_i image is an element and
+    that e_i kills the highest element run with that scan.
 
     Until then the crystal is a _UnbuiltCrystal, whose __getattr__
     builds the tables on a read of an unset table slot; the build turns

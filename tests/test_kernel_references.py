@@ -36,6 +36,16 @@ walks once per j and reads eps_k before each step s_k; the reference
 sums eps over each positive root's string, on the same elements, on
 B(1) at rank 40 and on B(2, 1) at rank 10.
 
+kostka's "new" route reads charge from the reading word: for each j,
+one walk applies s_k for k = j..n on the word, reading eps_k before each
+step, with both taken from unmatched_letters.  The reference is
+charge(crystal, x), which reads Z from the operator tables; they are
+compared on every element, of every weight, of the crystals of size
+<= 6 at ranks 1-4, and on every element of dominant weight of the two
+shapes of 3,000-3,500 elements at rank 5 with the most such elements,
+where kostka(c, mu, "new") must also equal the sum of q^charge over the
+weight-mu elements.
+
 The permutation helpers (perm_compose, simple_reflection,
 weyl_apply_weight, and weyl_act along the crystal's s_i) and
 is_semistandard are oracles for the other test modules; the package
@@ -45,18 +55,23 @@ itself needs none of them.
 from fractions import Fraction
 from itertools import permutations
 
+import pytest
+
 from crystalcharge.affine_graph import AffineCoroot, apply_affine_reflection, build_interval
 from crystalcharge.atoms import atomic_number
-from crystalcharge.charge_kostka import llt_gamma_raw
+from crystalcharge.charge_kostka import HalfLaurentPolynomial, charge, kostka, llt_gamma_raw, word_eps_sum
 from crystalcharge.crystal import (
     Crystal,
     conjugating_permutation,
     conjugators,
+    reading_word,
     semistandard_tableaux,
     weyl_dimension,
 )
 from crystalcharge.root_data import (
     bruhat_leq_dominant,
+    dominant_interval,
+    length,
     line_decompose,
     pairing,
     partitions,
@@ -385,6 +400,31 @@ def test_atomic_number_matches_per_root_sum():
     for c in crystals:
         for x in range(c.size):
             assert atomic_number(c, x) == atomic_number_reference(c, x)
+
+
+def word_charge(c, x):
+    """charge on the reading word: <wt, rho^v> - length(wt)/2 plus the eps walks' sum."""
+    mu = c.weight(x)
+    return rho_pairing(mu) - Fraction(length(mu), 2) + word_eps_sum(reading_word(c.elements[x]), c.rank)
+
+
+def test_word_charge_matches_table_charge():
+    for c in small_crystals():
+        for x in range(c.size):
+            assert word_charge(c, x) == charge(c, x)
+
+
+@pytest.mark.parametrize("lam, rank", [((4, 2, 2, 1, 0, 0), 5), ((6, 1, 1, 1, 0, 0), 5)], ids=["4221", "6111"])
+def test_word_charge_matches_table_charge_on_large_crystals(lam, rank):
+    c = Crystal.generate(lam, rank)
+    assert 3000 <= c.size <= 3500
+    for mu in dominant_interval(lam):
+        want = HalfLaurentPolynomial.zero()
+        for x in c.elements_of_weight(mu):
+            value = charge(c, x)
+            assert word_charge(c, x) == value
+            want += HalfLaurentPolynomial.monomial(value)
+        assert kostka(c, mu, "new") == want
 
 
 def test_weyl_dimension_matches_weyl_product():

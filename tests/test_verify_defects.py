@@ -7,18 +7,31 @@ case-by-case comparison of tilde_op gives, and gamma-divisible or
 charge=gamma.  edge-labels counts each view's bad edges from the
 interval's edges, reflecting each edge once per orientation; a graph
 with one corrupted label must fail that family in every view holding the
-edge, with the counts the views' own edge lists give.
+edge, with the counts the views' own edge lists give.  kostka's "new"
+route reads eps on reading words through charge_kostka's
+unmatched_letters; a kernel that counts one unmatched 2 too many must
+fail new=ls, new=llt and reconstruction, which compare that route with
+routes that do not use it, and leave charge=gamma, which reads the
+tables, passing.
 """
 
 from itertools import permutations
 
 import pytest
 
-from crystalcharge import verify
+from crystalcharge import charge_kostka, verify
 from crystalcharge.affine_graph import STAGE_INFINITY, AffineCoroot, IntervalGraph, apply_affine_reflection
 from crystalcharge.crystal import Crystal, conjugating_permutation, normalize_shape
 from crystalcharge.root_data import format_weight, positive_roots
-from crystalcharge.verify import VerifyFailure, VerifyReport, check_arrows, check_oracles, check_strings, sweep_shapes
+from crystalcharge.verify import (
+    VerifyFailure,
+    VerifyReport,
+    check_arrows,
+    check_hecke,
+    check_oracles,
+    check_strings,
+    sweep_shapes,
+)
 
 MAX_ELEMENTS = 2_000_000
 SHAPE = (2, 1, 0, 0)
@@ -120,3 +133,22 @@ def test_corrupted_label_fails_edge_labels_in_every_view_holding_it(monkeypatch)
                 expected.append(VerifyFailure("edge-labels", case, "0", str(bad)))
     assert holding > 0
     assert [f for f in report.failures if f.check == "edge-labels"] == expected
+
+
+def test_miscounted_word_eps_fails_the_routes_compared_with_new(monkeypatch):
+    rank, max_weight = 3, 4
+    kernel = charge_kostka.unmatched_letters
+
+    def miscounted(word, i):
+        """eps_1 one too high wherever an unmatched 2 is left."""
+        lo, hi = kernel(word, i)
+        return (lo, hi + hi[-1:]) if i == 1 else (lo, hi)
+
+    monkeypatch.setattr(charge_kostka, "unmatched_letters", miscounted)
+    oracles, hecke = VerifyReport("oracles"), VerifyReport("hecke")
+    check_oracles(oracles, rank, max_weight, MAX_ELEMENTS)
+    check_hecke(hecke, rank, max_weight, MAX_ELEMENTS)
+    failed = {f.check for f in oracles.failures + hecke.failures}
+    assert {"new=ls", "new=llt", "reconstruction"} <= failed
+    assert oracles.counts["charge=gamma"] > 0
+    assert "charge=gamma" not in failed
