@@ -185,7 +185,7 @@ def charge(crystal: Crystal, x: int) -> Fraction:
 
 
 def word_eps_sum(word: Sequence[int], rank: int) -> int:
-    """Z - <wt, rho^v>: eps_k(s_{k-1} ... s_j w) over j <= k, one walk of s_k per j on the word w."""
+    """Z - <wt, rho^v> on a word w: eps_k(s_{k-1} ... s_j w) summed over j <= k, one s_k walk per j."""
     total = 0
     for j in range(1, rank + 1):
         y = list(word)

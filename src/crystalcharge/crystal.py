@@ -232,15 +232,15 @@ def conjugating_permutation(rank: int, beta: Root) -> Permutation:
 class Crystal:
     """The crystal of all semistandard tableaux of one shape.
 
-    Use :meth:`generate`; the constructor, which takes the elements, is
-    internal.  Elements are referred to by id.  The weights, the elements
-    of each weight and the highest element, all that the `new`, `ls` and
-    `count` Kostka routes read, are computed at construction.  The f_i,
-    e_i, eps_i, phi_i and s_i tables for every i are filled by one scan
-    of each element's reading word, on the first read of any of them;
-    from then on they are plain attributes, and every operator is derived
-    from them.  The checks that every f_i and e_i image is an element and
-    that e_i kills the highest element run with that scan.
+    Use :meth:`generate`; the constructor is internal.  Elements are
+    referred to by id.  The weights, the elements of each weight and the
+    highest element are computed at construction; with the tableaux they
+    serve the `new`, `ls` and `count` Kostka routes.  The f_i, e_i, eps_i,
+    phi_i and s_i tables for every i are filled by one scan of each
+    element's reading word, on the first read of any of them; from then
+    on they are plain attributes, and every operator is derived from
+    them.  The checks that every f_i and e_i image is an element and that
+    e_i kills the highest element run with that scan.
 
     Until then the crystal is a _UnbuiltCrystal, whose __getattr__
     builds the tables on a read of an unset table slot; the build turns
