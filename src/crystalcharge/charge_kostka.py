@@ -10,8 +10,9 @@ nonnegative integer and generates the Kostka-Foulkes polynomial
 
     K_{lambda,mu}(q) = sum over elements of weight mu of q^charge.
 
-kostka's "new" route evaluates it on reading words, with eps_k and s_k
-taken on the word.  Two independent classical oracles are provided:
+kostka's "new" route evaluates it on the reading words of the tableaux
+of content mu, with eps_k and s_k taken on the word, and builds no
+crystal.  Two independent classical oracles are provided:
 the word charge (standard-subword extraction and the index rule on
 reading words, no crystal operators) and the Weyl-averaged statistic
 
@@ -29,6 +30,7 @@ integer coefficients keyed by doubled exponents.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -43,7 +45,15 @@ from .affine_graph import (
     stage_reflection,
 )
 from .atoms import AtomDecomposition, atomic_number, decompose
-from .crystal import Crystal, reading_word, unmatched_letters
+from .crystal import (
+    DEFAULT_MAX_ELEMENTS,
+    Crystal,
+    TableauRows,
+    capped_dimension,
+    reading_word,
+    tableaux_of_content,
+    unmatched_letters,
+)
 from .root_data import (
     LineOrder,
     Weight,
@@ -354,7 +364,7 @@ def llt_gamma(crystal: Crystal, x: int) -> int:
 def kostka_weight(mu: Weight, lam: Weight) -> Weight:
     """mu padded with zeros to the length of lambda; ValueError unless dominant and below lambda.
 
-    Needs only the shape, so a caller can check mu before building B(lambda).
+    Needs only the shape, so kostka checks mu before it lists a tableau.
     """
     mu = tuple(mu)
     mu += (0,) * (len(lam) - len(mu))
@@ -365,34 +375,54 @@ def kostka_weight(mu: Weight, lam: Weight) -> Weight:
     return mu
 
 
-def kostka(crystal: Crystal, mu: Weight, method: str = "new") -> HalfLaurentPolynomial:
-    """K_{lambda,mu}(q) over the crystal B(lambda), by one of four routes.
+def kostka(
+    shape: Weight, mu: Weight, method: str = "new", max_elements: int = DEFAULT_MAX_ELEMENTS
+) -> HalfLaurentPolynomial:
+    """K_{lambda,mu}(q) for a normalized shape lambda, by one of four routes.
 
     "new" sums q^charge, read on reading words, "ls" scores reading words,
-    "llt" averages over the Weyl group, "count" returns the constant bare
-    multiplicity.  mu is padded with zeros to the length of lambda.
+    "count" returns the constant bare multiplicity: these three list the
+    tableaux of content mu and build no crystal.  "llt" averages over the
+    Weyl group, on B(lambda).  The rank is len(lambda) - 1, and mu is
+    padded with zeros to that length.  The size of B(lambda) is checked
+    against max_elements, then mu, before any tableau is listed.
     """
     if method not in KOSTKA_METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {KOSTKA_METHODS}")
-    mu = kostka_weight(mu, crystal.shape)
-    elements = crystal.elements_of_weight(mu)
+    rank = len(shape) - 1
+    # capped_dimension rejects a shape that is not a partition
+    capped_dimension(shape, rank, max_elements)
+    mu = kostka_weight(mu, shape)
+    if method != "llt":
+        return kostka_of_tableaux(tableaux_of_content(shape, mu), mu, method)
+    crystal = Crystal.generate(shape, rank, max_elements)
+    return HalfLaurentPolynomial(Counter(2 * llt_gamma(crystal, x) for x in crystal.elements_of_weight(mu)))
+
+
+def kostka_of_tableaux(tableaux: Sequence[TableauRows], mu: Weight, method: str) -> HalfLaurentPolynomial:
+    """The sum of q^charge over tableaux of content mu, by the "new", "ls" or "count" route.
+
+    Charges are kept doubled, one coefficient per doubled exponent.  A
+    "new" charge that is odd when doubled, or negative, raises
+    ArithmeticError.
+    """
     if method == "count":
-        return HalfLaurentPolynomial.monomial(0, len(elements))
-    offset = rho_pairing(mu) - Fraction(length(mu), 2)
-    result = HalfLaurentPolynomial.zero()
-    for x in elements:
-        if method == "new":
-            value = offset + word_eps_sum(reading_word(crystal.elements[x]), crystal.rank)
-            if value.denominator != 1 or value < 0:
-                raise ArithmeticError(
-                    f"charge {value} of dominant-weight element {x} is not a nonnegative integer"
-                )
-        elif method == "ls":
-            value = ls_word_charge(reading_word(crystal.elements[x]))
+        return HalfLaurentPolynomial({0: len(tableaux)})
+    rank = len(mu) - 1
+    offset = int(2 * rho_pairing(mu)) - length(mu)
+    counts: Counter[int] = Counter()
+    for rows in tableaux:
+        word = reading_word(rows)
+        if method == "ls":
+            doubled = 2 * ls_word_charge(word)
         else:
-            value = llt_gamma(crystal, x)
-        result += HalfLaurentPolynomial.monomial(value)
-    return result
+            doubled = offset + 2 * word_eps_sum(word, rank)
+            if doubled % 2 or doubled < 0:
+                raise ArithmeticError(
+                    f"charge {Fraction(doubled, 2)} of dominant-weight tableau {rows} is not a nonnegative integer"
+                )
+        counts[doubled] += 1
+    return HalfLaurentPolynomial(counts)
 
 
 # -- swapping functions ---------------------------------------------------------

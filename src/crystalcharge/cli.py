@@ -39,7 +39,7 @@ from .charge_kostka import (
     kostka_weight,
     recharge_table,
 )
-from .crystal import DEFAULT_MAX_ELEMENTS, Crystal, capped_dimension, normalize_shape
+from .crystal import DEFAULT_MAX_ELEMENTS, Crystal, normalize_shape
 from .root_data import format_weight
 from .verify import SUITES, run_verify
 
@@ -102,17 +102,14 @@ def _write_out(path: Path, text: str) -> None:
 
 def _cmd_kostka(args) -> tuple[str, int]:
     mu = _parse_csv(args.mu)
-    # a bad shape, then the size cap, then a bad mu, all before any tableau is enumerated
+    # a bad shape, then (in kostka) the size cap, then a bad mu, all before any tableau is listed
     lam = normalize_shape(_parse_csv(args.weight), args.rank)
-    capped_dimension(lam, args.rank, args.max_elements)
-    mu = kostka_weight(mu, lam)
-    crystal = Crystal.generate(lam, args.rank, args.max_elements)
-    poly = kostka(crystal, mu, args.method)
+    poly = kostka(lam, mu, args.method, args.max_elements)
     if args.format == "json":
         payload = {
             "rank": args.rank,
-            "lambda": list(crystal.shape),
-            "mu": list(mu),
+            "lambda": list(lam),
+            "mu": list(kostka_weight(mu, lam)),
             "method": args.method,
             "kostka": poly.to_json_dict(),
             "text": poly.text(),

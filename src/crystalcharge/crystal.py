@@ -27,14 +27,9 @@ operators obtained by conjugating f_n, e_n with any u satisfying
 u(a_n) = a.
 
 Generating a crystal enumerates its tableaux and computes their
-weights, the elements of each weight and the highest element; the five
-operator tables are built together on the first read of any of them
-(f, e, eps, phi, s_i and every operator or statistic built on them, or
-the JSON dump).  So weight queries and the `new`, `ls` and `count`
-Kostka routes build no table (`new` applies unmatched_letters to reading
-words).  A Crystal is immutable once generated; all queries are pure and
-safe to call from any number of threads.  Two threads that read a table
-first may both build it, and both builds give identical tables.
+weights, the elements of each weight, the highest element and the five
+operator tables.  A Crystal is immutable once generated; all queries are
+pure and safe to call from any number of threads.
 """
 
 from __future__ import annotations
@@ -56,9 +51,6 @@ OperatorTable = tuple[tuple[Optional[int], ...], ...]
 IntTable = tuple[tuple[int, ...], ...]
 
 DEFAULT_MAX_ELEMENTS = 2_000_000
-
-# the Crystal attributes that _operator_tables fills, in its order
-_TABLE_NAMES = ("_f", "_e", "_eps", "_phi", "_si")
 
 
 class CrystalSizeError(ValueError):
@@ -208,6 +200,12 @@ def semistandard_tableaux(parts: tuple[int, ...], max_entry: int) -> Iterator[Ta
         rows[r][c] = lo - 1
 
 
+def tableaux_of_content(shape: Weight, mu: Weight) -> list[TableauRows]:
+    """The tableaux of B(shape) of weight mu, in enumeration order; the rank is len(shape) - 1."""
+    rank = len(shape) - 1
+    return [rows for rows in semistandard_tableaux(shape, rank + 1) if content(rows, rank) == mu]
+
+
 def conjugators(rank: int, beta: Root) -> Iterator[Permutation]:
     """Every u in S_{n+1} with u(a_n) = beta, the order-preserving one first.
 
@@ -233,28 +231,13 @@ class Crystal:
     """The crystal of all semistandard tableaux of one shape.
 
     Use :meth:`generate`; the constructor is internal.  Elements are
-    referred to by id.  The weights, the elements of each weight and the
-    highest element are computed at construction; with the tableaux they
-    serve the `new`, `ls` and `count` Kostka routes.  The f_i, e_i, eps_i,
-    phi_i and s_i tables for every i are filled by one scan of each
-    element's reading word, on the first read of any of them; from then
-    on they are plain attributes, and every operator is derived from
-    them.  The checks that every f_i and e_i image is an element and that
-    e_i kills the highest element run with that scan.
-
-    Until then the crystal is a _UnbuiltCrystal, whose __getattr__
-    builds the tables on a read of an unset table slot; the build turns
-    it back into a Crystal.  The hook sits on a subclass, and the
-    attributes in slots, because CPython 3.11 speeds up an attribute read
-    only on a class with no __getattr__ and no descriptor of that name,
-    and assigning __class__ turns an object's attribute dict into a
-    plain dict that it reads more slowly, while slots are unaffected.
-    So a built crystal reads its tables as fast as one whose tables were
-    built at construction.
+    referred to by id.  The weights, the elements of each weight, the
+    highest element and the f_i, e_i, eps_i, phi_i and s_i tables for
+    every i are computed at construction, the tables by one scan of each
+    element's reading word; every operator is derived from them.  The
+    checks that every f_i and e_i image is an element and that e_i kills
+    the highest element run with that scan.
     """
-
-    # __dict__ holds gamma_summands once computed
-    __slots__ = ("rank", "shape", "elements", "weights", "_by_weight", "highest", *_TABLE_NAMES, "__dict__")
 
     def __init__(self, rank: int, shape: Weight, elements: tuple[TableauRows, ...]):
         self.rank = rank
@@ -269,17 +252,14 @@ class Crystal:
             by_weight.setdefault(mu, []).append(x)
         self._by_weight = {mu: tuple(xs) for mu, xs in by_weight.items()}
 
+        # before the count of highest elements: the scan names a missing or repeated tableau
+        self._f, self._e, self._eps, self._phi, self._si = _operator_tables(elements, rank)
         tops = self._by_weight.get(self.shape, ())
         if len(tops) != 1:
-            # the scan names a missing or repeated tableau, a more precise error, when there is one
-            _operator_tables(elements, rank)
             raise CrystalStructureError(f"{len(tops)} elements of highest weight, expected one")
         self.highest = tops[0]
-        self.__class__ = _UnbuiltCrystal
-
-    def __reduce__(self):
-        """Pickle and copy as the elements alone, so no read of an unset table builds it."""
-        return Crystal, (self.rank, self.shape, self.elements)
+        if any(e_row[self.highest] is not None for e_row in self._e):
+            raise CrystalStructureError("the highest-weight element is not killed by every e_i")
 
     # -- construction -------------------------------------------------
 
@@ -287,7 +267,7 @@ class Crystal:
     def generate(
         cls, shape: tuple[int, ...], rank: int, max_elements: int = DEFAULT_MAX_ELEMENTS
     ) -> "Crystal":
-        """Enumerate the tableaux of B(lambda); the operator tables wait for their first read.
+        """Enumerate the tableaux of B(lambda) and build its operator tables.
 
         Raises CrystalSizeError when the element count would exceed
         max_elements.
@@ -422,27 +402,6 @@ class Crystal:
                 if y is not None
             ],
         }
-
-
-class _UnbuiltCrystal(Crystal):
-    """A Crystal whose operator tables are not built yet."""
-
-    __slots__ = ()
-
-    def __getattr__(self, name: str):
-        """Build all five tables on the first read of any of them, and become a Crystal.
-
-        Python calls this only when normal lookup fails, that is, for an
-        unset slot or a missing attribute.
-        """
-        if name not in _TABLE_NAMES:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        tables = _operator_tables(self.elements, self.rank)
-        if any(e_row[self.highest] is not None for e_row in tables[1]):
-            raise CrystalStructureError("the highest-weight element is not killed by every e_i")
-        self._f, self._e, self._eps, self._phi, self._si = tables
-        self.__class__ = Crystal
-        return getattr(self, name)
 
 
 def _operator_tables(

@@ -25,6 +25,7 @@ immutable.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate
 from math import factorial
@@ -48,8 +49,8 @@ from .charge_kostka import (
     SwappingError,
     charge,
     hecke_atomic_expansion,
-    kostka,
     kostka_from_hecke,
+    kostka_of_tableaux,
     llt_gamma_raw,
     recharge,
     swapping_map,
@@ -141,14 +142,24 @@ def check_oracles(report: VerifyReport, rank: int, max_weight: int, max_elements
     one = HalfLaurentPolynomial.one()
     order = factorial(rank + 1)
     for lam, c in _sweep_crystals(rank, max_weight, max_elements):
+        # the Weyl average of each element, None where the raw sum does not divide by (n+1)!
+        gammas = []
+        for x in range(c.size):
+            quotient, remainder = divmod(llt_gamma_raw(c, x), order)
+            gammas.append(None if remainder else quotient)
+
         for mu in dominant_interval(lam):
             base = f"n={rank} lam={format_weight(lam)} mu={format_weight(mu)}"
-            k_new = kostka(c, mu, "new")
-            k_ls = kostka(c, mu, "ls")
-            k_llt = kostka(c, mu, "llt")
-            count = kostka(c, mu, "count").evaluate_at_one()
+            elements = c.elements_of_weight(mu)
+            tableaux = [c.elements[x] for x in elements]
+            k_new = kostka_of_tableaux(tableaux, mu, "new")
+            k_ls = kostka_of_tableaux(tableaux, mu, "ls")
+            llt = [gammas[x] for x in elements]
+            k_llt = None if None in llt else HalfLaurentPolynomial(Counter(2 * g for g in llt))
+            count = kostka_of_tableaux(tableaux, mu, "count").evaluate_at_one()
             report.record("new=ls", k_new == k_ls, f"{base} new=ls", k_new.text(), k_ls.text())
-            report.record("new=llt", k_new == k_llt, f"{base} new=llt", k_new.text(), k_llt.text())
+            llt_text = "a gamma sum not divisible" if k_llt is None else k_llt.text()
+            report.record("new=llt", k_new == k_llt, f"{base} new=llt", k_new.text(), llt_text)
             report.record(
                 "q=1", k_new.evaluate_at_one() == count, f"{base} value at q=1", count, k_new.evaluate_at_one()
             )
@@ -156,16 +167,12 @@ def check_oracles(report: VerifyReport, rank: int, max_weight: int, max_elements
                 report.record("K(lam,lam)=1", k_new == one, f"{base} K(lam,lam)=1", "1", k_new.text())
 
         base = f"n={rank} lam={format_weight(lam)}"
-        bad_divisible = 0
-        bad_coincide = 0
-        for x in range(c.size):
-            raw = llt_gamma_raw(c, x)
-            quotient, remainder = divmod(raw, order)
-            if remainder:
-                bad_divisible += 1
-                continue
-            if is_dominant(c.weight(x)) and charge(c, x) != quotient:
-                bad_coincide += 1
+        bad_divisible = gammas.count(None)
+        bad_coincide = sum(
+            1
+            for x, gamma in enumerate(gammas)
+            if gamma is not None and is_dominant(c.weight(x)) and charge(c, x) != gamma
+        )
         report.record(
             "gamma-divisible", bad_divisible == 0, f"{base} gamma sums divisible by (n+1)!", 0, bad_divisible
         )
@@ -621,7 +628,8 @@ def check_hecke(report: VerifyReport, rank: int, max_weight: int, max_elements: 
         report.record("nonnegative", bad == 0, f"{base} coefficients nonnegative", 0, bad)
         for nu in dominant_interval(lam):
             lhs = kostka_from_hecke(expansion, nu)
-            rhs = kostka(c, nu, "new").scale_exponents(2)
+            tableaux = [c.elements[x] for x in c.elements_of_weight(nu)]
+            rhs = kostka_of_tableaux(tableaux, nu, "new").scale_exponents(2)
             report.record(
                 "reconstruction",
                 lhs == rhs,
@@ -643,6 +651,8 @@ def run_verify(
     """Run one named suite (or all of them) over the sweep bounds."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
+    if max_weight < 0:
+        raise ValueError(f"max weight must be nonnegative, got {max_weight}")
     report = VerifyReport(suite)
     # Looked up per call, so a wrapper installed on a module attribute takes effect.
     checks = {

@@ -218,6 +218,16 @@ def test_verify_oracles_small(capsys):
     assert "failures=0" in out
 
 
+@pytest.mark.parametrize("max_weight", ["-1", "-3"])
+def test_verify_negative_max_weight_exits_2(capsys, max_weight):
+    """A sweep with no shapes checks nothing, so it must not report success."""
+    assert run_cli(capsys, "verify", "--suite", "all", f"--max-weight={max_weight}") == (
+        2,
+        "",
+        f"error: max weight must be nonnegative, got {max_weight}\n",
+    )
+
+
 def test_verify_unknown_suite_exits_2(capsys):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["verify", "--suite", "bogus"])

@@ -2,8 +2,6 @@
 
 import copy
 import pickle
-import sys
-from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 
 import pytest
@@ -18,7 +16,7 @@ from test_kernel_references import (
 
 from crystalcharge import crystal as crystal_module
 from crystalcharge.atoms import decompose
-from crystalcharge.charge_kostka import kostka
+from crystalcharge.charge_kostka import kostka, llt_gamma
 from crystalcharge.crystal import (
     Crystal,
     CrystalSizeError,
@@ -106,11 +104,11 @@ def test_generate_two_long_rows():
 def test_broken_element_set_raises():
     elements = Crystal.generate((2, 1, 0), 2).elements
     with pytest.raises(CrystalStructureError, match=r"^f_1 of \(\(1, 3\), \(3,\)\) is not an element$"):
-        Crystal(2, (2, 1, 0), elements[:-1]).f(1, 0)
+        Crystal(2, (2, 1, 0), elements[:-1])
     with pytest.raises(CrystalStructureError, match=r"^e_2 of \(\(1, 1\), \(3,\)\) is not an element$"):
-        Crystal(2, (2, 1, 0), elements[1:]).f(1, 0)
+        Crystal(2, (2, 1, 0), elements[1:])
     with pytest.raises(CrystalStructureError, match=r"^1 repeated tableaux$"):
-        Crystal(2, (2, 1, 0), elements + elements[-1:]).f(1, 0)
+        Crystal(2, (2, 1, 0), elements + elements[-1:])
 
 
 def test_generate_cap():
@@ -427,7 +425,7 @@ def test_enumeration_is_deterministic():
     assert first[0] == ((1, 1), (2,))
 
 
-# -- operator tables on first read ----------------------------------------------------
+# -- operator tables at construction ----------------------------------------------
 
 
 @pytest.fixture
@@ -444,43 +442,46 @@ def table_builds(monkeypatch):
     return calls
 
 
-LAZY_SHAPE, LAZY_RANK, LAZY_MU = (3, 2, 1, 0), 3, (2, 2, 1, 1)
+TABLE_SHAPE, TABLE_RANK, TABLE_MU = (3, 2, 1, 0), 3, (2, 2, 1, 1)
 
 
-def test_weight_queries_build_no_tables(table_builds):
-    c = Crystal.generate(LAZY_SHAPE, LAZY_RANK)
-    ls = kostka(c, LAZY_MU, "ls")
-    count = kostka(c, LAZY_MU, "count")
-    new = kostka(c, LAZY_MU, "new")
-    assert count.doubled_items() == ((0, len(c.elements_of_weight(LAZY_MU))),)
-    assert sum(coeff for _, coeff in ls.doubled_items()) == len(c.elements_of_weight(LAZY_MU)) > 1
-    assert new == ls
-    assert [c.weight(x) for x in range(c.size)] == list(c.weights)
-    assert c.highest == 0
-    assert table_builds == []
-    assert kostka(c, LAZY_MU, "llt") == ls
-    assert table_builds == [LAZY_RANK]
+def test_weight_queries_build_no_tables(table_builds, monkeypatch):
+    """kostka by new, ls and count reads the tableaux of content mu and builds no crystal."""
+    generated = []
+    generate = Crystal.generate.__func__
+    monkeypatch.setattr(
+        Crystal, "generate", classmethod(lambda cls, *args: generated.append(args) or generate(cls, *args))
+    )
+    ls = kostka(TABLE_SHAPE, TABLE_MU, "ls")
+    count = kostka(TABLE_SHAPE, TABLE_MU, "count")
+    new = kostka(TABLE_SHAPE, TABLE_MU, "new")
+    assert (generated, table_builds) == ([], [])
+    multiplicity = len(Crystal.generate(TABLE_SHAPE, TABLE_RANK).elements_of_weight(TABLE_MU))
+    assert count.doubled_items() == ((0, multiplicity),)
+    assert sum(coeff for _, coeff in ls.doubled_items()) == multiplicity > 1
+    assert new == ls == kostka(TABLE_SHAPE, TABLE_MU, "llt")
+    assert (len(generated), table_builds) == (2, [TABLE_RANK] * 2)
 
 
 @pytest.mark.parametrize(
     "query",
     [
-        lambda c: kostka(c, LAZY_MU, "llt"),
+        lambda c: [llt_gamma(c, x) for x in c.elements_of_weight(TABLE_MU)],
         decompose,
         Crystal.to_json_dict,
     ],
     ids=["llt", "decompose", "to_json_dict"],
 )
 def test_table_queries_build_once(table_builds, query):
-    c = Crystal.generate(LAZY_SHAPE, LAZY_RANK)
-    assert table_builds == []
+    c = Crystal.generate(TABLE_SHAPE, TABLE_RANK)
+    assert table_builds == [TABLE_RANK]
     query(c)
     query(c)
-    for i in range(1, LAZY_RANK + 1):
+    for i in range(1, TABLE_RANK + 1):
         for x in range(c.size):
             c.f(i, x), c.e(i, x), c.eps(i, x), c.phi(i, x), c.si(i, x)
-    assert c.tilde_op("f", (1, LAZY_RANK), c.highest) is not None
-    assert table_builds == [LAZY_RANK]
+    assert c.tilde_op("f", (1, TABLE_RANK), c.highest) is not None
+    assert table_builds == [TABLE_RANK]
 
 
 @pytest.mark.parametrize(
@@ -496,44 +497,9 @@ def test_tables_built_on_first_read_match_reference(first_read, shape, rank):
     assert got == crystal_reference(c.elements, rank)
 
 
-def test_built_crystal_has_plain_table_attributes(table_builds):
-    """A built crystal is a plain Crystal, with no lookup hook left, and its tables can be replaced."""
+def test_copies_keep_their_tables(table_builds):
     c = Crystal.generate((2, 1, 0), 2)
-    assert isinstance(c, Crystal) and type(c) is not Crystal
-    c.si(1, 0)
-    assert type(c) is Crystal and not hasattr(Crystal, "__getattr__")
-    si = c._si
-    c._si = (si[1], si[0])
-    assert [c.si(1, x) for x in range(c.size)] == list(si[1])
-    assert table_builds == [2]
-
-
-def test_copies_build_their_tables_on_first_read(table_builds):
-    c = Crystal.generate((2, 1, 0), 2)
-    unbuilt = pickle.loads(pickle.dumps(c))
-    c.eps(1, 0)
-    built = copy.deepcopy(c)
-    assert table_builds == [2]
-    for other in (unbuilt, built):
+    for other in (pickle.loads(pickle.dumps(c)), copy.deepcopy(c)):
         assert (other.elements, other.weights, other.highest) == (c.elements, c.weights, c.highest)
         assert (other._f, other._e, other._eps, other._phi, other._si) == (c._f, c._e, c._eps, c._phi, c._si)
-    assert table_builds == [2, 2, 2]
-
-
-def test_concurrent_first_reads_agree():
-    """Threads that all read a fresh crystal's tables first may each build them; every one reads the same."""
-    shape, rank = (3, 2, 1, 0), 3
-    reference = crystal_reference(Crystal.generate(shape, rank).elements, rank)
-    crystals = [Crystal.generate(shape, rank) for _ in range(20)]
-    reads = [(c, i) for c in crystals for i in (1, 2, 3, 1, 2, 3)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=6) as pool:
-            rows = list(pool.map(lambda read: read[0].si_row(read[1]), reads, timeout=60))
-    finally:
-        sys.setswitchinterval(interval)
-    assert rows == [reference[4][i - 1] for _, i in reads]
-    for c in crystals:
-        assert type(c) is Crystal
-        assert (c._f, c._e, c._eps, c._phi, c._si, c.weights, c.highest) == reference
+    assert table_builds == [2]

@@ -43,7 +43,7 @@ charge(crystal, x), which reads Z from the operator tables; they are
 compared on every element, of every weight, of the crystals of size
 <= 6 at ranks 1-4, and on every element of dominant weight of the two
 shapes of 3,000-3,500 elements at rank 5 with the most such elements,
-where kostka(c, mu, "new") must also equal the sum of q^charge over the
+where kostka(lam, mu, "new") must also equal the sum of q^charge over the
 weight-mu elements.
 
 The permutation helpers (perm_compose, simple_reflection,
@@ -424,7 +424,7 @@ def test_word_charge_matches_table_charge_on_large_crystals(lam, rank):
             value = charge(c, x)
             assert word_charge(c, x) == value
             want += HalfLaurentPolynomial.monomial(value)
-        assert kostka(c, mu, "new") == want
+        assert kostka(lam, mu, "new") == want
 
 
 def test_weyl_dimension_matches_weyl_product():
