@@ -5,7 +5,8 @@ Computes the charge statistic Z - (1/2) length(wt) on semistandard
 tableau crystals of SL_{n+1} via atomic decompositions, the atomic
 number Z, twisted Bruhat graphs and swapping functions, and validates
 the resulting Kostka-Foulkes polynomials against two independent
-classical oracles.  All arithmetic is exact.
+classical oracles.  All arithmetic is exact and in integers: Z, charge,
+recharge and the Hecke exponents are half-integers, returned doubled.
 """
 
 from .affine_graph import (
@@ -63,7 +64,7 @@ from .root_data import (
     line_compare,
     pairing,
     positive_roots,
-    rho_pairing,
+    rho_doubled,
     root_vector,
 )
 from .verify import VerifyReport, run_verify, validate_atom

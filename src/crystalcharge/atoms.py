@@ -9,14 +9,14 @@ highest weight, and the atomic number
 
     Z(x) = <wt(x), rho^v> + sum over positive roots a of eps_a(x)
 
-is constant on it.  Violations of this structure are surfaced as
-AtomStructureError, never repaired silently.
+is constant on it.  Z is a half-integer, so atomic_number and
+Atom.z_doubled keep it doubled, as an int.  Violations of this
+structure are surfaced as AtomStructureError, never repaired silently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .crystal import Crystal
 from .root_data import (
@@ -24,7 +24,7 @@ from .root_data import (
     bruhat_leq_dominant,
     is_dominant,
     positive_roots,
-    rho_pairing,
+    rho_doubled,
 )
 
 
@@ -52,24 +52,21 @@ class _UnionFind:
 
 @dataclass(frozen=True)
 class Atom:
-    """One atom: element ids, dominant highest weight, constant Z."""
+    """One atom: element ids, dominant highest weight, constant Z (doubled)."""
 
     highest_weight: Weight
     element_ids: tuple[int, ...]
-    z: Fraction
+    z_doubled: int
 
     @property
     def size(self) -> int:
         return len(self.element_ids)
 
     def to_json_dict(self) -> dict:
-        z_doubled = 2 * self.z
-        if z_doubled.denominator != 1:
-            raise ArithmeticError(f"atomic number {self.z} is not a half-integer")
         return {
             "highest_weight": list(self.highest_weight),
             "size": self.size,
-            "z_doubled": int(z_doubled),
+            "z_doubled": self.z_doubled,
             "element_ids": list(self.element_ids),
         }
 
@@ -85,8 +82,8 @@ class AtomDecomposition:
         return self.atoms[self.member_of[x]]
 
 
-def atomic_number(crystal: Crystal, x: int) -> Fraction:
-    """Z(x) as an exact half-integer.
+def atomic_number(crystal: Crystal, x: int) -> int:
+    """2 Z(x), the atomic number doubled.
 
     Equivalently -<wt(x), rho^v> plus the sum of phi_a(x), since
     phi_a - eps_a pairs the weight with each coroot.  eps of a_{j,k} is
@@ -100,7 +97,7 @@ def atomic_number(crystal: Crystal, x: int) -> Fraction:
         for k in range(j, n + 1):
             eps_sum += crystal.eps(k, y)
             y = crystal.si(k, y)
-    return rho_pairing(crystal.weight(x)) + eps_sum
+    return rho_doubled(crystal.weight(x)) + 2 * eps_sum
 
 
 def decompose(crystal: Crystal) -> AtomDecomposition:
@@ -128,7 +125,7 @@ def decompose(crystal: Crystal) -> AtomDecomposition:
         dominant_members = [x for x in members if is_dominant(crystal.weight(x))]
         if not dominant_members:
             raise AtomStructureError("component without a dominant weight")
-        top = max(dominant_members, key=lambda x: rho_pairing(crystal.weight(x)))
+        top = max(dominant_members, key=lambda x: rho_doubled(crystal.weight(x)))
         highest = crystal.weight(top)
         for x in members:
             if not bruhat_leq_dominant(crystal.weight(x), highest):

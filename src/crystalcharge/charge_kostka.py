@@ -24,15 +24,15 @@ r_m(x) = Z(x) - Arr_m(x), where the arrow count is taken in the twisted
 Bruhat graph over the highest weight of x's atom; wall crossings are
 realized by swapping functions built from powers of raising operators.
 
-All arithmetic is exact: half-integers are fractions, polynomials store
-integer coefficients keyed by doubled exponents.
+All arithmetic is exact and in integers: Z, charge, recharge and the
+Hecke exponents are half-integers, kept doubled as ints, and polynomials
+store integer coefficients keyed by doubled exponents.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial
 from typing import Iterable, Optional, Sequence
 
@@ -62,7 +62,7 @@ from .root_data import (
     length,
     line_compare,
     pairing,
-    rho_pairing,
+    rho_doubled,
 )
 
 KOSTKA_METHODS = ("new", "ls", "llt", "count")
@@ -93,13 +93,6 @@ class HalfLaurentPolynomial:
     @classmethod
     def one(cls) -> "HalfLaurentPolynomial":
         return cls({0: 1})
-
-    @classmethod
-    def monomial(cls, exponent: int | Fraction, coeff: int = 1) -> "HalfLaurentPolynomial":
-        doubled = 2 * Fraction(exponent)
-        if doubled.denominator != 1:
-            raise ValueError(f"exponent {exponent} is not a half-integer")
-        return cls({int(doubled): coeff})
 
     def doubled_items(self) -> tuple[tuple[int, int], ...]:
         """(doubled exponent, coefficient) pairs in decreasing exponent order."""
@@ -184,14 +177,14 @@ class HalfLaurentPolynomial:
 # -- the new charge statistic ------------------------------------------------
 
 
-def charge(crystal: Crystal, x: int) -> Fraction:
-    """Z(x) minus half the Bruhat length of the weight.
+def charge(crystal: Crystal, x: int) -> int:
+    """Z(x) minus half the Bruhat length of the weight, doubled.
 
-    Defined on the whole crystal as an exact half-integer; on elements
-    of dominant weight it is a nonnegative integer equal to the sum of
-    eps over all positive roots.
+    Defined on the whole crystal as a half-integer; on elements of
+    dominant weight it is a nonnegative integer equal to the sum of eps
+    over all positive roots, so the doubled value is even.
     """
-    return atomic_number(crystal, x) - Fraction(length(crystal.weight(x)), 2)
+    return atomic_number(crystal, x) - length(crystal.weight(x))
 
 
 def word_eps_sum(word: Sequence[int], rank: int) -> int:
@@ -211,10 +204,10 @@ def word_eps_sum(word: Sequence[int], rank: int) -> int:
 
 @dataclass(frozen=True)
 class RechargeTable:
-    """Recharge values Z - Arr_stage for every element of a crystal."""
+    """Recharge values Z - Arr_stage, doubled, for every element of a crystal."""
 
     stage: Stage
-    values: dict[int, Fraction]
+    values: dict[int, int]
 
 
 def recharge(
@@ -223,8 +216,8 @@ def recharge(
     x: int,
     stage: Stage,
     graph: Optional[TwistedGraph] = None,
-) -> Fraction:
-    """Z(x) minus the in-degree of wt(x) in the stage graph of x's atom.
+) -> int:
+    """Z(x) minus the in-degree of wt(x) in the stage graph of x's atom, doubled.
 
     Z is read from x's atom, on which it is constant.  graph, when
     given, must be that graph: the stage view over the highest weight
@@ -236,7 +229,7 @@ def recharge(
         graph = build_graph(highest, stage)
     elif (graph.base, graph.stage, type(graph.stage)) != (highest, stage, type(stage)):
         raise ValueError(f"graph at stage {graph.stage} over {graph.base} is not x's stage-{stage} graph")
-    return atom.z - graph.arr(crystal.weight(x))
+    return atom.z_doubled - 2 * graph.arr(crystal.weight(x))
 
 
 def recharge_table(
@@ -362,11 +355,15 @@ def llt_gamma(crystal: Crystal, x: int) -> int:
 
 
 def kostka_weight(mu: Weight, lam: Weight) -> Weight:
-    """mu padded with zeros to the length of lambda; ValueError unless dominant and below lambda.
+    """mu padded with zeros to the length of lambda; ValueError unless it fits, is dominant and lies below.
 
     Needs only the shape, so kostka checks mu before it lists a tableau.
     """
     mu = tuple(mu)
+    if len(mu) > len(lam):
+        raise ValueError(
+            f"mu = {mu} has {len(mu)} coordinates; at most {len(lam)} allowed at rank {len(lam) - 1}"
+        )
     mu += (0,) * (len(lam) - len(mu))
     if not is_dominant(mu):
         raise ValueError(f"mu = {mu} is not dominant")
@@ -409,7 +406,7 @@ def kostka_of_tableaux(tableaux: Sequence[TableauRows], mu: Weight, method: str)
     if method == "count":
         return HalfLaurentPolynomial({0: len(tableaux)})
     rank = len(mu) - 1
-    offset = int(2 * rho_pairing(mu)) - length(mu)
+    offset = rho_doubled(mu) - length(mu)
     counts: Counter[int] = Counter()
     for rows in tableaux:
         word = reading_word(rows)
@@ -419,7 +416,7 @@ def kostka_of_tableaux(tableaux: Sequence[TableauRows], mu: Weight, method: str)
             doubled = offset + 2 * word_eps_sum(word, rank)
             if doubled % 2 or doubled < 0:
                 raise ArithmeticError(
-                    f"charge {Fraction(doubled, 2)} of dominant-weight tableau {rows} is not a nonnegative integer"
+                    f"doubled charge {doubled} of dominant-weight tableau {rows} is not even and nonnegative"
                 )
         counts[doubled] += 1
     return HalfLaurentPolynomial(counts)
@@ -481,14 +478,14 @@ class HeckeExpansion:
 def hecke_atomic_expansion(
     crystal: Crystal, decomposition: Optional[AtomDecomposition] = None
 ) -> HeckeExpansion:
-    """Group atoms by highest weight; each contributes v^(2(Z - <mu,rho^v>))."""
+    """Group atoms by highest weight; each adds v^(2(Z - <mu,rho^v>)), Z - <mu,rho^v> a nonnegative integer."""
     dec = decomposition if decomposition is not None else decompose(crystal)
     coeffs: dict[Weight, HalfLaurentPolynomial] = {}
     for atom in dec.atoms:
-        exponent = atom.z - rho_pairing(atom.highest_weight)
-        if exponent.denominator != 1 or exponent < 0:
-            raise ArithmeticError(f"atom exponent {exponent} is not a nonnegative integer")
-        term = HalfLaurentPolynomial.monomial(2 * int(exponent))
+        doubled = atom.z_doubled - rho_doubled(atom.highest_weight)
+        if doubled % 2 or doubled < 0:
+            raise ArithmeticError(f"doubled atom exponent {doubled} is not even and nonnegative")
+        term = HalfLaurentPolynomial({2 * doubled: 1})
         previous = coeffs.get(atom.highest_weight, HalfLaurentPolynomial.zero())
         coeffs[atom.highest_weight] = previous + term
     return HeckeExpansion(crystal.shape, coeffs)
@@ -504,8 +501,6 @@ def kostka_from_hecke(expansion: HeckeExpansion, nu: Weight) -> HalfLaurentPolyn
     total = HalfLaurentPolynomial.zero()
     for mu, coefficient in expansion.coeffs.items():
         if bruhat_leq_dominant(nu, mu):
-            height = rho_pairing(mu) - rho_pairing(nu)
-            if height.denominator != 1:
-                raise ArithmeticError(f"height {height} from {nu} to {mu} is not an integer")
-            total += coefficient * HalfLaurentPolynomial.monomial(2 * int(height))
+            height = rho_doubled(mu) - rho_doubled(nu)
+            total += coefficient * HalfLaurentPolynomial({2 * height: 1})
     return total

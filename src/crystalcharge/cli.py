@@ -26,6 +26,7 @@ import contextlib
 import json
 import os
 import sys
+from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 from typing import Optional
@@ -39,7 +40,7 @@ from .charge_kostka import (
     kostka_weight,
     recharge_table,
 )
-from .crystal import DEFAULT_MAX_ELEMENTS, Crystal, normalize_shape
+from .crystal import DEFAULT_MAX_ELEMENTS, Crystal, content, normalize_shape, shape_tableaux
 from .root_data import format_weight
 from .verify import SUITES, run_verify
 
@@ -119,15 +120,15 @@ def _cmd_kostka(args) -> tuple[str, int]:
 
 
 def _cmd_crystal(args) -> tuple[str, int]:
-    crystal = _load_crystal(args)
     if args.format == "json":
-        return _dumps(crystal.to_json_dict()), 0
-    lines = [
-        f"# crystal rank={crystal.rank} shape={format_weight(crystal.shape)} elements={crystal.size}"
-    ]
-    for x, rows in enumerate(crystal.elements):
+        return _dumps(_load_crystal(args).to_json_dict()), 0
+    # the text form prints tableaux and weights only, so it builds no operator table
+    lam = normalize_shape(_parse_csv(args.weight), args.rank)
+    elements = shape_tableaux(lam, args.rank, args.max_elements)
+    lines = [f"# crystal rank={args.rank} shape={format_weight(lam)} elements={len(elements)}"]
+    for x, rows in enumerate(elements):
         rows_text = json.dumps([list(row) for row in rows], separators=(",", ":"))
-        lines.append(f"{x}\t{rows_text}\t{format_weight(crystal.weights[x])}")
+        lines.append(f"{x}\t{rows_text}\t{format_weight(content(rows, args.rank))}")
     return "\n".join(lines) + "\n", 0
 
 
@@ -144,7 +145,7 @@ def _cmd_atoms(args) -> tuple[str, int]:
     lines = []
     for atom in dec.atoms:
         lines.append(
-            f"highest_weight={format_weight(atom.highest_weight)} size={atom.size} z={atom.z}"
+            f"highest_weight={format_weight(atom.highest_weight)} size={atom.size} z={Fraction(atom.z_doubled, 2)}"
         )
     return "\n".join(lines) + "\n", 0
 
@@ -189,22 +190,16 @@ def _cmd_recharge(args) -> tuple[str, int]:
     dec = decompose(crystal)
     table = recharge_table(crystal, dec, stage)
     if args.format == "json":
-        doubled = {}
-        for x in range(crystal.size):
-            value = 2 * table.values[x]
-            if value.denominator != 1:
-                raise ArithmeticError(f"recharge of element {x} is not a half-integer")
-            doubled[str(x)] = int(value)
         payload = {
             "rank": crystal.rank,
             "shape": list(crystal.shape),
             "stage": _stage_json(stage),
-            "recharge_doubled": doubled,
+            "recharge_doubled": {str(x): table.values[x] for x in range(crystal.size)},
         }
         return _dumps(payload), 0
     lines = [f"# recharge shape={format_weight(crystal.shape)} stage={_stage_json(stage)}"]
     for x in range(crystal.size):
-        lines.append(f"{x}\t{format_weight(crystal.weights[x])}\t{table.values[x]}")
+        lines.append(f"{x}\t{format_weight(crystal.weights[x])}\t{Fraction(table.values[x], 2)}")
     return "\n".join(lines) + "\n", 0
 
 

@@ -200,6 +200,15 @@ def semistandard_tableaux(parts: tuple[int, ...], max_entry: int) -> Iterator[Ta
         rows[r][c] = lo - 1
 
 
+def shape_tableaux(lam: Weight, rank: int, max_elements: int) -> tuple[TableauRows, ...]:
+    """The tableaux of B(lam), lam normalized; CrystalSizeError past max_elements, before any is listed."""
+    dim = capped_dimension(lam, rank, max_elements)
+    elements = tuple(semistandard_tableaux(lam, rank + 1))
+    if len(elements) != dim:
+        raise CrystalStructureError(f"{len(elements)} tableaux of shape {lam}, expected {dim}")
+    return elements
+
+
 def tableaux_of_content(shape: Weight, mu: Weight) -> list[TableauRows]:
     """The tableaux of B(shape) of weight mu, in enumeration order; the rank is len(shape) - 1."""
     rank = len(shape) - 1
@@ -273,11 +282,7 @@ class Crystal:
         max_elements.
         """
         lam = normalize_shape(shape, rank)
-        dim = capped_dimension(lam, rank, max_elements)
-        elements = tuple(semistandard_tableaux(lam, rank + 1))
-        if len(elements) != dim:
-            raise CrystalStructureError(f"{len(elements)} tableaux of shape {lam}, expected {dim}")
-        return cls(rank, lam, elements)
+        return cls(rank, lam, shape_tableaux(lam, rank, max_elements))
 
     # -- simple operators ----------------------------------------------
 

@@ -20,7 +20,6 @@ concurrently.
 from __future__ import annotations
 
 import enum
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Optional
 
@@ -75,17 +74,16 @@ def pairing(mu: Weight, beta: Root) -> int:
     return mu[j - 1] - mu[k]
 
 
-def rho_pairing(mu: Weight) -> Fraction:
-    """<mu, rho^v> as an exact half-integer, rho^v the half-sum of positive coroots.
+def rho_doubled(mu: Weight) -> int:
+    """Twice <mu, rho^v>: the sum of the pairings of mu with every positive coroot.
 
-    >>> rho_pairing((2, 1, 0))
-    Fraction(2, 1)
+    mu_i (0-based) pairs to +1 with n - i of them and to -1 with i of them.
+
+    >>> rho_doubled((2, 1, 0))
+    4
     """
     n = len(mu) - 1
-    if n == 0:
-        return Fraction(0)
-    total = sum(pairing(mu, beta) for beta in positive_roots(n))
-    return Fraction(total, 2)
+    return sum((n - 2 * i) * m for i, m in enumerate(mu))
 
 
 def is_dominant(mu: Weight) -> bool:

@@ -171,7 +171,7 @@ def check_oracles(report: VerifyReport, rank: int, max_weight: int, max_elements
         bad_coincide = sum(
             1
             for x, gamma in enumerate(gammas)
-            if gamma is not None and is_dominant(c.weight(x)) and charge(c, x) != gamma
+            if gamma is not None and is_dominant(c.weight(x)) and charge(c, x) != 2 * gamma
         )
         report.record(
             "gamma-divisible", bad_divisible == 0, f"{base} gamma sums divisible by (n+1)!", 0, bad_divisible
@@ -197,7 +197,7 @@ def validate_atom(report: VerifyReport, atom: Atom, crystal: Crystal, case: str)
     for check, ok, detail in (
         ("distinct-weights", repeated == 0, f"{repeated} repeated weights"),
         ("lower-interval", interval_ok, f"weights != interval below {atom.highest_weight}"),
-        ("constant-z", z_values == {atom.z}, f"Z values {sorted(z_values)} != {atom.z}"),
+        ("constant-z", z_values == {atom.z_doubled}, f"doubled Z values {sorted(z_values)} != {atom.z_doubled}"),
     ):
         report.record(check, ok, f"{case} {check}", "pass", detail)
 
@@ -546,8 +546,9 @@ def check_swapping(report: VerifyReport, rank: int, max_weight: int, max_element
                     if dec.member_of[y] != atom_idx:
                         bad_atom += 1
                     y_graph = g_next if dec.member_of[y] == atom_idx else None
+                    # recharge values are doubled: a drop of one reads 2
                     drop = recharge(c, dec, x, m + 1, g_next) - recharge(c, dec, y, m + 1, y_graph)
-                    if drop != 1:
+                    if drop != 2:
                         bad_drop += 1
                     psi_images.add(y)
                     images.setdefault((m, tmu), []).append(y)

@@ -1,6 +1,5 @@
 """Tests for the atomic decomposition and the atomic number."""
 
-from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -18,7 +17,7 @@ from crystalcharge.root_data import (
     dominant_interval,
     is_dominant,
     partitions,
-    rho_pairing,
+    rho_doubled,
     root_vector,
 )
 from crystalcharge.verify import VerifyReport, validate_atom
@@ -100,21 +99,21 @@ def test_decompose_partitions(dec210, c210):
 
 
 def test_atomic_number_of_highest(c210):
-    assert atomic_number(c210, c210.highest) == rho_pairing((2, 1, 0)) == 2
+    assert atomic_number(c210, c210.highest) == rho_doubled((2, 1, 0)) == 4
 
 
 def test_atomic_number_splits_zero_weight(c210, dec210):
     values = {}
     for x in c210.elements_of_weight((1, 1, 1)):
         values[x] = atomic_number(c210, x)
-    assert sorted(values.values()) == [1, 2]
+    assert sorted(values.values()) == [2, 4]
     for x, z in values.items():
-        assert dec210.atom_of(x).z == z
+        assert dec210.atom_of(x).z_doubled == z
 
 
 def test_atomic_number_constant_on_atoms(dec210, c210):
     for atom in dec210.atoms:
-        assert {atomic_number(c210, x) for x in atom.element_ids} == {atom.z}
+        assert {atomic_number(c210, x) for x in atom.element_ids} == {atom.z_doubled}
 
 
 def test_lowering_highest_lands_in_large_atom(c210, dec210):
@@ -130,7 +129,7 @@ def test_singleton_atom_epsilon_sum(c210, dec210):
 
     eps_sum = sum(c210.root_string_stats(beta, x).eps for beta in positive_roots(2))
     assert eps_sum == 1
-    assert singleton.z == Fraction(1)
+    assert singleton.z_doubled == 2
 
 
 # -- validation ------------------------------------------------------------------------
@@ -157,7 +156,7 @@ def test_validate_singleton_interval(c210, dec210):
 
 def test_validate_merged_atoms_fails(c210, dec210):
     merged_ids = tuple(sorted(x for atom in dec210.atoms for x in atom.element_ids))
-    merged = Atom((2, 1, 0), merged_ids, dec210.atoms[0].z)
+    merged = Atom((2, 1, 0), merged_ids, dec210.atoms[0].z_doubled)
     failed = {f.check: f for f in _validate(merged, c210).failures}
     assert "distinct-weights" in failed
     assert failed["distinct-weights"].case == "atom distinct-weights"
@@ -166,14 +165,14 @@ def test_validate_merged_atoms_fails(c210, dec210):
 
 def test_validate_wrong_highest_weight_fails(c210, dec210):
     singleton = next(atom for atom in dec210.atoms if atom.size == 1)
-    misplaced = Atom((2, 1, 0), singleton.element_ids, singleton.z)
+    misplaced = Atom((2, 1, 0), singleton.element_ids, singleton.z_doubled)
     failed = {f.check for f in _validate(misplaced, c210).failures}
     assert failed == {"lower-interval"}
 
 
 def test_validate_wrong_z_fails(c210, dec210):
     atom = dec210.atoms[0]
-    tampered = Atom(atom.highest_weight, atom.element_ids, atom.z + 1)
+    tampered = Atom(atom.highest_weight, atom.element_ids, atom.z_doubled + 2)
     failed = {f.check for f in _validate(tampered, c210).failures}
     assert failed == {"constant-z"}
 

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from crystalcharge import charge_kostka, cli
 from crystalcharge.affine_graph import STAGE_INFINITY, build_graph, interval_graph, stabilization_stage
-from crystalcharge.atoms import atomic_number, decompose
+from crystalcharge.atoms import Atom, AtomDecomposition, atomic_number, decompose
 from crystalcharge.charge_kostka import (
     HalfLaurentPolynomial,
     charge,
@@ -20,7 +21,7 @@ from crystalcharge.charge_kostka import (
     swapping_map,
 )
 from crystalcharge.crystal import Crystal, reading_word
-from crystalcharge.root_data import dominant_interval, is_dominant, length, rho_pairing
+from crystalcharge.root_data import dominant_interval, is_dominant, length, rho_doubled
 from crystalcharge.verify import sweep_shapes
 
 P = HalfLaurentPolynomial
@@ -50,32 +51,33 @@ def dec210(c210):
 
 
 def test_poly_arithmetic():
-    p = P.monomial(2) + P.monomial(1)
-    q = P.monomial(Fraction(1, 2), 3)
+    p = P({4: 1}) + P({2: 1})
+    q = P({1: 3})
     assert (p + q).doubled_items() == ((4, 1), (2, 1), (1, 3))
-    assert (p * P.monomial(1)).doubled_items() == ((6, 1), (4, 1))
+    assert (p * P({2: 1})).doubled_items() == ((6, 1), (4, 1))
     assert p.evaluate_at_one() == 2
-    assert p.scale_exponents(2) == P.monomial(4) + P.monomial(2)
+    assert p.scale_exponents(2) == P({8: 1}) + P({4: 1})
 
 
 def test_poly_text():
     assert P.zero().text() == "0"
     assert P.one().text() == "1"
-    assert P.monomial(1).text() == "q"
-    assert (P.monomial(2) + P.monomial(1)).text() == "q^2 + q"
-    assert P.monomial(Fraction(5, 2), 3).text() == "3q^(5/2)"
-    assert P.monomial(Fraction(-5, 2)).text() == "q^(-5/2)"
-    assert (P.one() + P.monomial(-2, -2)).text() == "1 - 2q^(-2)"
-    assert (P.monomial(3) + P.one()).text("v") == "v^3 + 1"
+    assert P({2: 1}).text() == "q"
+    assert (P({4: 1}) + P({2: 1})).text() == "q^2 + q"
+    assert P({5: 3}).text() == "3q^(5/2)"
+    assert P({-5: 1}).text() == "q^(-5/2)"
+    assert (P.one() + P({-4: -2})).text() == "1 - 2q^(-2)"
+    assert (P({6: 1}) + P.one()).text("v") == "v^3 + 1"
 
 
 def test_poly_rejects_non_half_exponent():
-    with pytest.raises(ValueError):
-        P.monomial(Fraction(1, 3))
+    """Exponents are keyed doubled, so the exponent 1/3 would need the key 2/3."""
+    with pytest.raises(TypeError):
+        P({Fraction(2, 3): 1})
 
 
 def test_poly_json_round_trip():
-    p = P.monomial(2) + P.monomial(Fraction(1, 2), 5)
+    p = P({4: 1}) + P({1: 5})
     assert p.to_json_dict() == {"4": 1, "1": 5}
 
 
@@ -89,12 +91,12 @@ def test_charge_of_highest_is_zero(c20, c210):
 
 def test_charge_of_zero_weight_elements(c210):
     values = sorted(charge(c210, x) for x in c210.elements_of_weight((1, 1, 1)))
-    assert values == [1, 2]
+    assert values == [2, 4]
 
 
 def test_charge_of_sl2_middle(c20):
     x = c20.elements.index(((1, 2),))
-    assert charge(c20, x) == 1
+    assert charge(c20, x) == 2
 
 
 def test_charge_is_eps_sum_on_dominant(c210):
@@ -105,14 +107,14 @@ def test_charge_is_eps_sum_on_dominant(c210):
             eps_sum = sum(
                 c210.root_string_stats(beta, x).eps for beta in positive_roots(2)
             )
-            assert charge(c210, x) == eps_sum
+            assert charge(c210, x) == 2 * eps_sum
 
 
 def test_charge_atom_constancy(c210, dec210):
     for atom in dec210.atoms:
         for x in atom.element_ids:
-            value = charge(c210, x) + Fraction(length(c210.weights[x]), 2)
-            assert value == atom.z
+            value = charge(c210, x) + length(c210.weights[x])
+            assert value == atom.z_doubled
 
 
 # -- recharge ----------------------------------------------------------------------
@@ -120,14 +122,14 @@ def test_charge_atom_constancy(c210, dec210):
 
 def test_recharge_stage_zero_is_z_minus_length(c210, dec210):
     for x in range(c210.size):
-        expected = dec210.atom_of(x).z - length(c210.weights[x])
+        expected = dec210.atom_of(x).z_doubled - 2 * length(c210.weights[x])
         assert recharge(c210, dec210, x, 0) == expected
 
 
 def test_recharge_sl2_infinity(c20, dec20):
     x = c20.elements.index(((1, 2),))
     assert recharge(c20, dec20, x, STAGE_INFINITY) == 0
-    assert recharge(c20, dec20, x, 0) == 1
+    assert recharge(c20, dec20, x, 0) == 2
 
 
 def test_recharge_table_matches_pointwise(c210, dec210):
@@ -161,7 +163,7 @@ def test_recharge_matches_table_free_reference(c210, dec210):
             views = {atom.highest_weight: interval_graph(atom.highest_weight).at(stage) for atom in dec.atoms}
             for x in range(c.size):
                 view = views[dec.atom_of(x).highest_weight]
-                expected = atomic_number(c, x) - view.arr(c.weights[x])
+                expected = atomic_number(c, x) - 2 * view.arr(c.weights[x])
                 assert recharge(c, dec, x, stage, view) == table.values[x] == expected
                 if c is c210:
                     assert recharge(c, dec, x, stage) == expected
@@ -172,22 +174,22 @@ def test_recharge_infinity_endpoint(c210, dec210):
 
     for x in range(c210.size):
         atom = dec210.atom_of(x)
-        expected = atom.z - arr_infinity_formula(c210.weights[x], atom.highest_weight)
+        expected = atom.z_doubled - 2 * arr_infinity_formula(c210.weights[x], atom.highest_weight)
         assert recharge(c210, dec210, x, STAGE_INFINITY) == expected
 
 
 @pytest.mark.parametrize("top", [2, 3, 5])
 def test_recharge_infinity_rank_one_is_z_minus_phi(top):
     """At rank 1 the infinity arrow count is just phi, so stepping down a
-    string raises the recharge by one."""
+    string raises the recharge by one (two, doubled)."""
     crystal = Crystal.generate((top, 0), 1)
     dec = decompose(crystal)
     for x in range(crystal.size):
         value = recharge(crystal, dec, x, STAGE_INFINITY)
-        assert value == dec.atom_of(x).z - crystal.phi(1, x)
+        assert value == dec.atom_of(x).z_doubled - 2 * crystal.phi(1, x)
         y = crystal.f(1, x)
         if y is not None:
-            assert recharge(crystal, dec, y, STAGE_INFINITY) == value + 1
+            assert recharge(crystal, dec, y, STAGE_INFINITY) == value + 2
 
 
 def test_charge_difference_within_atom(c210, dec210):
@@ -195,7 +197,7 @@ def test_charge_difference_within_atom(c210, dec210):
         dominant = [x for x in atom.element_ids if is_dominant(c210.weights[x])]
         for x in dominant:
             for y in dominant:
-                gap = rho_pairing(c210.weights[x]) - rho_pairing(c210.weights[y])
+                gap = rho_doubled(c210.weights[x]) - rho_doubled(c210.weights[y])
                 assert charge(c210, y) == charge(c210, x) + gap
 
 
@@ -246,7 +248,7 @@ def test_llt_gamma_examples(c20, c210):
 def test_llt_gamma_coincides_with_charge_on_dominant(c210):
     for x in range(c210.size):
         if is_dominant(c210.weights[x]):
-            assert llt_gamma(c210, x) == charge(c210, x)
+            assert 2 * llt_gamma(c210, x) == charge(c210, x)
 
 
 def test_llt_gamma_raw_divisible(c210):
@@ -303,6 +305,20 @@ def test_kostka_rejects_bad_mu():
         kostka((2, 1, 0), (1, 1, 0))  # different coordinate sums
     with pytest.raises(ValueError):
         kostka((2, 1, 0), (1, 1, 1), method="magic")
+    with pytest.raises(ValueError, match=r"mu = \(1, 1, 1, 0\) has 4 coordinates; at most 3 allowed at rank 2"):
+        kostka((2, 1, 0), (1, 1, 1, 0))
+
+
+def test_kostka_rejects_a_negative_charge(monkeypatch, capsys):
+    """A word whose eps sum makes a doubled charge negative is an invariant broken, not a term."""
+    monkeypatch.setattr(charge_kostka, "word_eps_sum", lambda word, rank: -1)
+    with pytest.raises(ArithmeticError, match="doubled charge -2 of dominant-weight tableau"):
+        kostka((2, 1, 0), (1, 1, 1))
+    assert cli.main("kostka --rank 2 --weight 2,1,0 --mu 1,1,1".split()) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: doubled charge -2 of dominant-weight tableau ")
+    assert err.count("\n") == 1 and err.endswith(" is not even and nonnegative\n")
 
 
 def test_kostka_accepts_short_mu():
@@ -337,7 +353,7 @@ def test_swapping_weight_and_atom(c210, dec210):
 def test_swapping_recharge_drop(c20, dec20):
     x22 = c20.elements.index(((2, 2),))
     image = swapping_map(c20, dec20, 0, (1, 1), x22)
-    assert recharge(c20, dec20, image, 1) == recharge(c20, dec20, x22, 1) - 1
+    assert recharge(c20, dec20, image, 1) == recharge(c20, dec20, x22, 1) - 2
 
 
 def test_swapping_rejects_bad_inputs(c20, dec20):
@@ -355,7 +371,7 @@ def test_hecke_example(c210):
     expansion = hecke_atomic_expansion(c210)
     assert expansion.coeffs == {
         (2, 1, 0): P.one(),
-        (1, 1, 1): P.monomial(2),
+        (1, 1, 1): P({4: 1}),
     }
     assert expansion.coeffs[(1, 1, 1)].text("v") == "v^2"
 
@@ -370,9 +386,20 @@ def test_hecke_leading_coefficient():
 def test_hecke_exponent_is_eps_sum(c210, dec210):
     expansion = hecke_atomic_expansion(c210, dec210)
     for atom in dec210.atoms:
-        exponent = 2 * (atom.z - rho_pairing(atom.highest_weight))
+        exponent = atom.z_doubled - rho_doubled(atom.highest_weight)
         assert expansion.coeffs[atom.highest_weight].doubled_items()[0][0] >= 0
-        assert exponent.denominator == 1
+        assert exponent % 2 == 0
+
+
+@pytest.mark.parametrize("shift", [1, -2], ids=["odd", "negative"])
+def test_hecke_rejects_a_tampered_exponent(c210, dec210, shift):
+    """The leading atom's doubled exponent is 0: one more is odd, two less is negative."""
+    leading = dec210.atoms[0]
+    assert leading.z_doubled == rho_doubled(leading.highest_weight)
+    tampered = Atom(leading.highest_weight, leading.element_ids, leading.z_doubled + shift)
+    dec = AtomDecomposition((tampered, *dec210.atoms[1:]), dec210.member_of)
+    with pytest.raises(ArithmeticError, match=f"doubled atom exponent {shift} is not even and nonnegative"):
+        hecke_atomic_expansion(c210, dec)
 
 
 def test_hecke_reconstruction_small():

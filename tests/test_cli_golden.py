@@ -47,6 +47,8 @@ GOLDEN = [
     ("crystal --rank 4 --weight 3,2,1 --format json", 0, "f961fa0ff7e6c4bb091c418b8c4e1da3849b60ef725a5b1d77a251d4e6c5da05"),
     ("atoms --rank 4 --weight 3,2,1 --format json", 0, "754d24d55e6ba1cf35883aa1bc70ed972079797a24752016f6681acb2987106a"),
     ("kostka --rank 5 --weight 3,2,1 --mu 1,1,1,1,1,1 --method new", 0, "1b17a45bb4f2b948f510ff43fdbe2cee83e5d7c48600c5c00d715708f53dfba4"),
+    ("atoms --rank 3 --weight 3,1,1,0", 0, "63e9949446f70df5207bda3eeff1916694a4c8d2b37e5a6bdda93bab6e9b288e"),
+    ("recharge --rank 2 --weight 2,1,0 --stage inf", 0, "a5d3333efbea19e756d02e1b670b1554acc3e0f334d03b1027390b292a181beb"),
 ]
 
 GOLDEN_ERRORS = [
@@ -55,6 +57,7 @@ GOLDEN_ERRORS = [
     ("crystal --rank 2 --weight 2,1,0 --max-elements 3", 2, "error: crystal of shape (2, 1, 0) at rank 2 has 8 elements, exceeding the cap of 3\n"),
     ("graph --rank 2 --weight 2,1,0 --max-elements 3", 2, "error: interval below (2, 1, 0) at rank 2 has 7 weights, exceeding the cap of 3\n"),
     ("kostka --rank 2 --weight 2,1,0 --mu 1,1,1 --out missing/out.txt", 2, "error: [Errno 2] No such file or directory: 'missing/out.txt'\n"),
+    ("kostka --rank 2 --weight 2,1 --mu 1,1,1,0", 2, "error: mu = (1, 1, 1, 0) has 4 coordinates; at most 3 allowed at rank 2\n"),
 ]
 
 

@@ -14,6 +14,7 @@ from test_kernel_references import (
     weyl_apply_weight,
 )
 
+from crystalcharge import cli
 from crystalcharge import crystal as crystal_module
 from crystalcharge.atoms import decompose
 from crystalcharge.charge_kostka import kostka, llt_gamma
@@ -495,6 +496,25 @@ def test_tables_built_on_first_read_match_reference(first_read, shape, rank):
     first_read(c)
     got = (c._f, c._e, c._eps, c._phi, c._si, c.weights, c.highest)
     assert got == crystal_reference(c.elements, rank)
+
+
+def test_crystal_text_builds_no_tables(table_builds, capsys):
+    """The text form prints tableaux and weights, read from the tableaux; JSON prints the tables."""
+    assert cli.main("crystal --rank 3 --weight 3,2,1,0".split()) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert table_builds == []
+    c = Crystal.generate(TABLE_SHAPE, TABLE_RANK)
+    assert lines[0] == f"# crystal rank=3 shape=3,2,1,0 elements={c.size}"
+    assert lines[-1].split("\t")[0] == str(c.size - 1)
+    assert table_builds == [TABLE_RANK]
+    assert cli.main("crystal --rank 3 --weight 3,2,1,0 --format json".split()) == 0
+    assert table_builds == [TABLE_RANK] * 2
+
+
+def test_crystal_text_checks_the_tableau_count(monkeypatch, capsys):
+    monkeypatch.setattr(crystal_module, "semistandard_tableaux", lambda parts, max_entry: iter([((1, 1),)]))
+    assert cli.main("crystal --rank 1 --weight 2,0".split()) == 2
+    assert capsys.readouterr() == ("", "error: 1 tableaux of shape (2, 0), expected 3\n")
 
 
 def test_copies_keep_their_tables(table_builds):

@@ -77,7 +77,7 @@ from crystalcharge.root_data import (
     partitions,
     positive_roots,
     reduced_word,
-    rho_pairing,
+    rho_doubled,
     root_vector,
 )
 
@@ -195,8 +195,8 @@ def tilde_op_reference(c, direction, beta, x, u):
 
 
 def atomic_number_reference(c, x):
-    """<wt(x), rho^v> plus eps along each positive root's string, one walk per root."""
-    return rho_pairing(c.weight(x)) + sum(c.root_string_stats(beta, x).eps for beta in positive_roots(c.rank))
+    """2Z: <wt(x), 2 rho^v> plus twice eps along each positive root's string, one walk per root."""
+    return rho_doubled(c.weight(x)) + 2 * sum(c.root_string_stats(beta, x).eps for beta in positive_roots(c.rank))
 
 
 def weyl_dimension_reference(lam):
@@ -403,9 +403,9 @@ def test_atomic_number_matches_per_root_sum():
 
 
 def word_charge(c, x):
-    """charge on the reading word: <wt, rho^v> - length(wt)/2 plus the eps walks' sum."""
+    """charge on the reading word, doubled: <wt, 2 rho^v> - length(wt) plus twice the eps walks' sum."""
     mu = c.weight(x)
-    return rho_pairing(mu) - Fraction(length(mu), 2) + word_eps_sum(reading_word(c.elements[x]), c.rank)
+    return rho_doubled(mu) - length(mu) + 2 * word_eps_sum(reading_word(c.elements[x]), c.rank)
 
 
 def test_word_charge_matches_table_charge():
@@ -423,7 +423,7 @@ def test_word_charge_matches_table_charge_on_large_crystals(lam, rank):
         for x in c.elements_of_weight(mu):
             value = charge(c, x)
             assert word_charge(c, x) == value
-            want += HalfLaurentPolynomial.monomial(value)
+            want += HalfLaurentPolynomial({value: 1})
         assert kostka(lam, mu, "new") == want
 
 

@@ -1,7 +1,5 @@
 """Tests for type-A root and weight combinatorics."""
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +15,7 @@ from crystalcharge.root_data import (
     partitions,
     positive_roots,
     reduced_word,
-    rho_pairing,
+    rho_doubled,
     root_vector,
 )
 
@@ -42,17 +40,17 @@ def test_pairing_examples():
     assert pairing((0, 1, 2), (1, 1)) == -1
 
 
-def test_rho_pairing_examples():
-    assert rho_pairing((2, 1, 0)) == 2
-    assert rho_pairing((1, 1, 1)) == 0
-    assert rho_pairing((1, 0)) == Fraction(1, 2)
+def test_rho_doubled_examples():
+    assert rho_doubled((2, 1, 0)) == 4
+    assert rho_doubled((1, 1, 1)) == 0
+    assert rho_doubled((1, 0)) == 1
+    assert rho_doubled((5,)) == 0
 
 
 @given(rank_and_weight)
-def test_rho_pairing_is_half_sum(case):
+def test_rho_doubled_is_sum_of_pairings(case):
     n, mu = case
-    doubled = sum(pairing(mu, beta) for beta in positive_roots(n))
-    assert rho_pairing(mu) * 2 == doubled
+    assert rho_doubled(mu) == sum(pairing(mu, beta) for beta in positive_roots(n))
 
 
 def test_root_vectors():
