@@ -406,14 +406,14 @@ def kostka_of_tableaux(tableaux: Sequence[TableauRows], mu: Weight, method: str)
     if method == "count":
         return HalfLaurentPolynomial({0: len(tableaux)})
     rank = len(mu) - 1
-    offset = rho_doubled(mu) - length(mu)
     counts: Counter[int] = Counter()
     for rows in tableaux:
         word = reading_word(rows)
         if method == "ls":
             doubled = 2 * ls_word_charge(word)
         else:
-            doubled = offset + 2 * word_eps_sum(word, rank)
+            # 2 charge = rho_doubled(mu) - length(mu) + 2 eps sum, and the first two agree for a dominant mu
+            doubled = 2 * word_eps_sum(word, rank)
             if doubled % 2 or doubled < 0:
                 raise ArithmeticError(
                     f"doubled charge {doubled} of dominant-weight tableau {rows} is not even and nonnegative"

@@ -10,32 +10,31 @@ immediately left of an i-letter cancels (applied repeatedly); f_i turns
 the rightmost unmatched i into i+1, e_i turns the leftmost unmatched
 i+1 into i.
 
-One left-to-right scan of each reading word fills all five operator
-tables for every i at once: each letter v is an i+1 letter for
-i = v-1 and an i letter for i = v, so one stack per index leaves
-eps_i and phi_i (the numbers of unmatched i+1 and i letters) and the
-cells where e_i and f_i act.  An image is looked up by an integer key,
-the reading word packed one digit per cell; the digits are wide enough
-for the letter rank+1, so f_i and e_i add and subtract one digit's
-unit.  s_i, which swaps eps_i and phi_i, walks |phi_i - eps_i| steps
-along the finished f_i or e_i row.
+One left-to-right scan of each reading word finds, for every i at
+once, what the signature rule alone determines: the weight, eps_i (the
+unmatched i+1 letters) and f_i (at the last unmatched i letter), its
+image looked up by the reading word packed into an integer key.  The
+rest follows from the crystal axioms: e_i is the inverse of f_i,
+phi_i = eps_i + wt_i - wt_{i+1}, and s_i, which swaps eps_i and phi_i,
+walks wt_i - wt_{i+1} steps along the finished f_i row, or as many back
+along e_i.
 
 On top of the simple operators the module provides the Weyl group
 action (s_i reverses each i-string), the modified operators
 f_a = w f_k w^{-1} with w = s_j ... s_{k-1} for a = a_{j,k}, and the
-operators obtained by conjugating f_n, e_n with any u satisfying
-u(a_n) = a.
+operators obtained by conjugating f_n, e_n with the order-preserving u
+satisfying u(a_n) = a (every such u gives the same operator).
 
 Generating a crystal enumerates its tableaux and computes their
-weights, the elements of each weight, the highest element and the five
-operator tables.  A Crystal is immutable once generated; all queries are
-pure and safe to call from any number of threads.
+weights, the elements of each weight, the highest element and the f_i,
+e_i, eps_i and s_i tables.  A Crystal is immutable once generated; all
+queries are pure and safe to call from any number of threads.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import chain, permutations, repeat
+from itertools import chain, permutations
 from math import comb
 from typing import Iterator, NamedTuple, Optional, Sequence
 
@@ -241,28 +240,24 @@ class Crystal:
 
     Use :meth:`generate`; the constructor is internal.  Elements are
     referred to by id.  The weights, the elements of each weight, the
-    highest element and the f_i, e_i, eps_i, phi_i and s_i tables for
-    every i are computed at construction, the tables by one scan of each
-    element's reading word; every operator is derived from them.  The
-    checks that every f_i and e_i image is an element and that e_i kills
-    the highest element run with that scan.
+    highest element and the f_i, e_i, eps_i and s_i tables are computed
+    at construction (_operator_tables), with the checks that every f_i
+    and e_i image is an element and that e_i kills the highest element.
+    phi_i is read from eps_i and the weight; every operator is derived
+    from the tables.
     """
 
     def __init__(self, rank: int, shape: Weight, elements: tuple[TableauRows, ...]):
         self.rank = rank
         self.shape = shape
         self.elements = elements
-        # one tuple per distinct weight, shared by every element of that weight
-        shared: dict[Weight, Weight] = {}
-        self.weights = tuple(shared.setdefault(mu, mu) for mu in map(content, elements, repeat(rank)))
+        # before the count of highest elements: the scan names a missing or repeated tableau
+        self.weights, self._f, self._e, self._eps, self._si = _operator_tables(elements, rank)
 
         by_weight: dict[Weight, list[int]] = {}
         for x, mu in enumerate(self.weights):
             by_weight.setdefault(mu, []).append(x)
         self._by_weight = {mu: tuple(xs) for mu, xs in by_weight.items()}
-
-        # before the count of highest elements: the scan names a missing or repeated tableau
-        self._f, self._e, self._eps, self._phi, self._si = _operator_tables(elements, rank)
         tops = self._by_weight.get(self.shape, ())
         if len(tops) != 1:
             raise CrystalStructureError(f"{len(tops)} elements of highest weight, expected one")
@@ -303,7 +298,9 @@ class Crystal:
         return self._eps[i - 1][x]
 
     def phi(self, i: int, x: int) -> int:
-        return self._phi[i - 1][x]
+        """eps_i plus the pairing of the weight with the coroot of a_i."""
+        mu = self.weights[x]
+        return self._eps[i - 1][x] + mu[i - 1] - mu[i]
 
     def elements_of_weight(self, mu: Weight) -> tuple[int, ...]:
         return self._by_weight.get(tuple(mu), ())
@@ -345,28 +342,25 @@ class Crystal:
         return y
 
     def root_string_stats(self, beta: Root, x: int) -> StringStats:
-        """eps and phi along the beta-string: phi_beta = phi_k after w^{-1}."""
+        """eps and phi along the beta-string: eps_k and phi_k after w^{-1}."""
         j, k = beta
         y = x
         for i in range(j, k):
             y = self._si[i - 1][y]
-        return StringStats(self._eps[k - 1][y], self._phi[k - 1][y])
+        eps, mu = self._eps[k - 1][y], self.weights[y]
+        return StringStats(eps, eps + mu[k - 1] - mu[k])
 
     # -- operators conjugated from the last simple root -------------------
 
-    def tilde_op(
-        self, direction: str, beta: Root, x: int, u: Optional[Permutation] = None
-    ) -> Optional[int]:
-        """u f_n u^{-1} (resp. e_n) for any u with u(a_n) = beta.
+    def tilde_op(self, direction: str, beta: Root, x: int) -> Optional[int]:
+        """u f_n u^{-1} (resp. e_n), u the order-preserving permutation with u(a_n) = beta.
 
-        The result does not depend on the choice of u; by default the
-        order-preserving permutation is used.
+        Every u with u(a_n) = beta gives the same operator; verify's
+        conjugator-choice family checks the others against this one.
         """
         if direction not in ("f", "e"):
             raise ValueError(f"unknown operator direction {direction!r}")
-        if u is None:
-            u = conjugating_permutation(self.rank, beta)
-        word = reduced_word(u)
+        word = reduced_word(conjugating_permutation(self.rank, beta))
         # u^{-1} is the reversed word, applied rightmost letter first: read u's word forward
         y: Optional[int] = x
         for i in word:
@@ -385,8 +379,8 @@ class Crystal:
         The summand of the Weyl-averaged statistic; built on first use.
         """
         sums = [0] * self.size
-        for i, (eps_row, phi_row) in enumerate(zip(self._eps, self._phi), start=1):
-            sums = [s + i * m for s, m in zip(sums, map(min, eps_row, phi_row))]
+        for i, eps_row in enumerate(self._eps, start=1):
+            sums = [s + i * min(eps, eps + mu[i - 1] - mu[i]) for s, eps, mu in zip(sums, eps_row, self.weights)]
         return tuple(sums)
 
     # -- serialization ----------------------------------------------------
@@ -411,40 +405,52 @@ class Crystal:
 
 def _operator_tables(
     elements: tuple[TableauRows, ...], rank: int
-) -> tuple[OperatorTable, OperatorTable, IntTable, IntTable, IntTable]:
-    """The f_i, e_i, eps_i, phi_i and s_i tables, from one scan of each reading word.
+) -> tuple[tuple[Weight, ...], OperatorTable, OperatorTable, IntTable, IntTable]:
+    """The weights and the f_i, e_i, eps_i and s_i tables.
 
-    s_i walks |phi_i - eps_i| steps along the finished f_i or e_i row.
-    Each row becomes a tuple as soon as its s_i row is done, so a list
-    and its tuple copy coexist for one row at a time.
+    One scan of each reading word finds the weights and f_i and eps_i
+    (_signature_rows); the rest follows from the crystal axioms.  e_i
+    inverts f_i, so every element with eps_i > 0 needs an f_i preimage,
+    or its e_i image is not an element.  s_i walks wt_i - wt_{i+1} (=
+    phi_i - eps_i) steps along the finished f_i row, or as many back
+    along e_i.  Each row becomes a tuple as soon as its s_i row is done,
+    so a list and its tuple copy coexist for one row at a time.
     """
-    f_table, e_table, eps_table, phi_table, ids = _signature_rows(elements, rank)
-    si_table = []
+    weights, f_table, eps_table, ids = _signature_rows(elements, rank)
+    e_table, si_table = [], []
     for j in range(rank):
-        reversals = _string_reversals(f_table[j], e_table[j], eps_table[j], phi_table[j], ids)
-        si_table.append(tuple(reversals))
-        for table in (f_table, e_table, eps_table, phi_table):
-            table[j] = tuple(table[j])
-    return tuple(f_table), tuple(e_table), tuple(eps_table), tuple(phi_table), tuple(si_table)
+        e_row = [None] * len(ids)
+        for x, y in zip(ids, f_table[j]):
+            if y is not None:
+                e_row[y] = x
+        # f_i raises eps_i by one and has one preimage at most, so equal counts mean equal supports
+        if e_row.count(None) != eps_table[j].count(0):
+            images = [set(row) for row in f_table]
+            x, i = next((x, i) for x in ids for i in range(rank) if eps_table[i][x] and x not in images[i])
+            raise CrystalStructureError(f"e_{i + 1} of {elements[x]} is not an element")
+        si_table.append(tuple(_string_reversals(f_table[j], e_row, weights, j, ids)))
+        e_table.append(tuple(e_row))
+        f_table[j], eps_table[j] = tuple(f_table[j]), tuple(eps_table[j])
+    return weights, tuple(f_table), tuple(e_table), tuple(eps_table), tuple(si_table)
 
 
 def _signature_rows(
     elements: tuple[TableauRows, ...], rank: int
-) -> tuple[list, list, list, list, tuple[int, ...]]:
-    """The f_i, e_i, eps_i and phi_i rows as lists, and the ids they hold.
+) -> tuple[tuple[Weight, ...], list, list, tuple[int, ...]]:
+    """The weights, the f_i and eps_i rows as lists, and the ids they hold.
 
     A letter v plays two parts in the scan: for i = v-1 it is an i+1
     letter and goes on that index's stack, for i = v it is an i letter
     and cancels the top of that stack, or else stays unmatched.  At the
     end, for every i at once, the stack holds the eps_i unmatched i+1
-    letters, its bottom the leftmost, where e_i acts; phi_i counts the
-    unmatched i letters, the last one recorded being where f_i acts.
+    letters, and the last unmatched i letter is where f_i acts.  The
+    letter counts give the weight, one shared tuple per distinct weight.
 
     Each element is keyed by its reading word packed into an int, one
     digit of whole bytes per position.  The digits are wide enough for
-    the letter rank+1, so no operator carries into the next digit: the
-    image of f_i at a position is the key plus that digit's unit, of e_i
-    the key minus it.  Every image must be an element.
+    the letter rank+1, so f_i does not carry into the next digit: its
+    image is the key plus that digit's unit.  Every image must be an
+    element.
     """
     size = len(elements)
     # whole bytes per digit, enough for the letter rank+1; the first letter read is the lowest digit
@@ -459,51 +465,43 @@ def _signature_rows(
         raise CrystalStructureError(f"{size - len(index)} repeated tableaux")
 
     f_table = [[None] * size for _ in range(rank)]
-    e_table = [[None] * size for _ in range(rank)]
     eps_table = [[0] * size for _ in range(rank)]
-    phi_table = [[0] * size for _ in range(rank)]
-    by_index = tuple(zip(range(1, rank + 1), f_table, e_table, eps_table, phi_table))
-    blank = [0] * (rank + 2)
+    by_index = tuple(zip(range(1, rank + 1), f_table, eps_table))
+    shared: dict[Weight, Weight] = {}
+    weights = []
+    blank, unset = [0] * (rank + 2), [-1] * (rank + 2)
     for (key, x), rows in zip(index.items(), elements):
-        # per index i: the unmatched i+1 letters on the stack and the shift of
-        # its bottom one's digit, the unmatched i letters and that of the last one
-        stack, bottom, unmatched, last = blank[:], blank[:], blank[:], blank[:]
+        # per index i: the unmatched i+1 letters on the stack and the shift of the
+        # last unmatched i letter's digit; per letter v, its count at v-1
+        stack, last, counts = blank[:], unset[:], blank[:]
         shift = 0
         for row in reversed(rows):
             for v in row:
-                i = v - 1
-                if stack[i]:
-                    stack[i] += 1
-                else:
-                    stack[i] = 1
-                    bottom[i] = shift
+                counts[v - 1] += 1
+                stack[v - 1] += 1
                 if stack[v]:
                     stack[v] -= 1
                 else:
-                    unmatched[v] += 1
                     last[v] = shift
                 shift += width
-        for i, f_row, e_row, eps_row, phi_row in by_index:
-            if unmatched[i]:
-                phi_row[x] = unmatched[i]
+        mu = tuple(counts[: rank + 1])
+        weights.append(shared.setdefault(mu, mu))
+        for i, f_row, eps_row in by_index:
+            if last[i] >= 0:
                 y = f_row[x] = index.get(key + (1 << last[i]))
                 if y is None:
                     raise CrystalStructureError(f"f_{i} of {rows} is not an element")
-            if stack[i]:
-                eps_row[x] = stack[i]
-                y = e_row[x] = index.get(key - (1 << bottom[i]))
-                if y is None:
-                    raise CrystalStructureError(f"e_{i} of {rows} is not an element")
-    # the id objects of the f and e rows, so that the fixed points of s_i share them
-    return f_table, e_table, eps_table, phi_table, tuple(index.values())
+            eps_row[x] = stack[i]
+    # the id objects of the f rows, so that the e rows and the fixed points of s_i share them
+    return tuple(weights), f_table, eps_table, tuple(index.values())
 
 
 def _string_reversals(
-    f_row: list, e_row: list, eps_row: list, phi_row: list, ids: tuple[int, ...]
+    f_row: list, e_row: list, weights: tuple[Weight, ...], j: int, ids: tuple[int, ...]
 ) -> Iterator[int]:
-    """s_i of each id: phi_i - eps_i steps of f_i, or eps_i - phi_i steps of e_i."""
-    for x in ids:
-        m = phi_row[x] - eps_row[x]
+    """s_i of each id, i = j+1: wt_i - wt_{i+1} steps of f_i, or as many of e_i when negative."""
+    for x, mu in zip(ids, weights):
+        m = mu[j] - mu[j + 1]
         walk = f_row if m >= 0 else e_row
         y = x
         for _ in range(abs(m)):

@@ -305,6 +305,7 @@ def check_strings(report: VerifyReport, rank: int, max_weight: int, max_elements
         base = f"n={rank} lam={format_weight(lam)}"
         roots = positive_roots(rank)
 
+        # phi_k - eps_k is the pairing at w^{-1} x by definition, so this checks that s_i moves weights
         bad = 0
         for x in range(c.size):
             for beta in roots:

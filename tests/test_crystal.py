@@ -9,7 +9,9 @@ from test_kernel_references import (
     crystal_reference,
     is_semistandard,
     perm_compose,
+    phi_rows,
     simple_reflection,
+    tilde_op_reference,
     weyl_act,
     weyl_apply_weight,
 )
@@ -396,9 +398,7 @@ def test_tilde_choice_independence(c2100):
         assert len(conjugators) >= 2
         for u in conjugators:
             for x in range(c2100.size):
-                assert c2100.tilde_op("f", beta, x, u=u) == c2100.tilde_op(
-                    "f", beta, x
-                )
+                assert tilde_op_reference(c2100, "f", beta, x, u) == c2100.tilde_op("f", beta, x)
 
 
 def test_tilde_commutation_on_dominant(c210):
@@ -494,7 +494,7 @@ def test_table_queries_build_once(table_builds, query):
 def test_tables_built_on_first_read_match_reference(first_read, shape, rank):
     c = Crystal.generate(shape, rank)
     first_read(c)
-    got = (c._f, c._e, c._eps, c._phi, c._si, c.weights, c.highest)
+    got = (c._f, c._e, c._eps, phi_rows(c), c._si, c.weights, c.highest)
     assert got == crystal_reference(c.elements, rank)
 
 
@@ -521,5 +521,6 @@ def test_copies_keep_their_tables(table_builds):
     c = Crystal.generate((2, 1, 0), 2)
     for other in (pickle.loads(pickle.dumps(c)), copy.deepcopy(c)):
         assert (other.elements, other.weights, other.highest) == (c.elements, c.weights, c.highest)
-        assert (other._f, other._e, other._eps, other._phi, other._si) == (c._f, c._e, c._eps, c._phi, c._si)
+        assert (other._f, other._e, other._eps, other._si) == (c._f, c._e, c._eps, c._si)
+        assert phi_rows(other) == phi_rows(c)
     assert table_builds == [2]

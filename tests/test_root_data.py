@@ -53,6 +53,16 @@ def test_rho_doubled_is_sum_of_pairings(case):
     assert rho_doubled(mu) == sum(pairing(mu, beta) for beta in positive_roots(n))
 
 
+def test_rho_doubled_is_length_on_dominant_weights():
+    """Every pairing of a dominant weight is >= 0, and a nonnegative pairing is the length along its root."""
+    for n in range(1, 7):
+        for size in range(10):
+            for shape in partitions(size, n + 1):
+                mu = shape + (0,) * (n + 1 - len(shape))
+                assert rho_doubled(mu) == length(mu)
+    assert (rho_doubled((0, 1)), length((0, 1))) == (-1, 0)
+
+
 def test_root_vectors():
     assert root_vector((1, 2), 2) == (1, 0, -1)
     assert root_vector((2, 2), 2) == (0, 1, -1)

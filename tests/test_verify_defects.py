@@ -4,7 +4,9 @@ conjugator-choice composes s_i rows into crystal permutations, and the
 Weyl average reads a per-element summand table; a crystal with one
 corrupted s_i image must still fail conjugator-choice, with the count a
 case-by-case comparison of tilde_op gives, and gamma-divisible or
-charge=gamma.  edge-labels counts each view's bad edges from the
+charge=gamma.  phi is eps plus the weight pairing, so a crystal with one
+raised eps_1 must fail constant-z and string-sums, which compare eps
+across elements.  edge-labels counts each view's bad edges from the
 interval's edges, reflecting each edge once per orientation; a graph
 with one corrupted label must fail that family in every view holding the
 edge, with the counts the views' own edge lists give.  kostka's "new"
@@ -22,11 +24,12 @@ import pytest
 from crystalcharge import charge_kostka, verify
 from crystalcharge.affine_graph import STAGE_INFINITY, AffineCoroot, IntervalGraph, apply_affine_reflection
 from crystalcharge.crystal import Crystal, conjugating_permutation, normalize_shape
-from crystalcharge.root_data import format_weight, positive_roots
+from crystalcharge.root_data import format_weight, positive_roots, reduced_word
 from crystalcharge.verify import (
     VerifyFailure,
     VerifyReport,
     check_arrows,
+    check_atoms,
     check_hecke,
     check_oracles,
     check_strings,
@@ -37,20 +40,43 @@ MAX_ELEMENTS = 2_000_000
 SHAPE = (2, 1, 0, 0)
 
 
-def corrupt_si(monkeypatch, i, x, image):
-    """Crystal.generate, with s_i(x) of B(SHAPE) at rank 3 replaced by image."""
+def corrupt_table(monkeypatch, name, i, x, value):
+    """Crystal.generate, with entry x of row i of the table `name` of B(SHAPE) at rank 3 replaced by value."""
     generate = Crystal.generate.__func__
 
     def corrupted(cls, shape, rank, max_elements=MAX_ELEMENTS):
         c = generate(cls, shape, rank, max_elements)
         if (c.shape, rank) == (SHAPE, 3):
-            row = list(c._si[i - 1])
-            assert row[x] != image
-            row[x] = image
-            c._si = c._si[: i - 1] + (tuple(row),) + c._si[i:]
+            table = getattr(c, name)
+            row = list(table[i - 1])
+            assert row[x] != value
+            row[x] = value
+            setattr(c, name, table[: i - 1] + (tuple(row),) + table[i:])
         return c
 
     monkeypatch.setattr(Crystal, "generate", classmethod(corrupted))
+
+
+def corrupt_si(monkeypatch, i, x, image):
+    """Crystal.generate, with s_i(x) of B(SHAPE) at rank 3 replaced by image."""
+    corrupt_table(monkeypatch, "_si", i, x, image)
+
+
+def conjugated_op(c, direction, x, u):
+    """u f_n u^{-1} (resp. e_n) along c.si, u^{-1} applied as u's reduced word read forward.
+
+    verify composes u^{-1} the same way; a reduced word of u^{-1} of its
+    own can differ from it, and then a corrupted s_i gives another image.
+    """
+    word = reduced_word(u)
+    for i in word:
+        x = c.si(i, x)
+    x = (c.f if direction == "f" else c.e)(c.rank, x)
+    if x is None:
+        return None
+    for i in reversed(word):
+        x = c.si(i, x)
+    return x
 
 
 def conjugator_choice_case_by_case(c):
@@ -64,7 +90,7 @@ def conjugator_choice_case_by_case(c):
                 continue
             for x in range(c.size):
                 for direction in ("f", "e"):
-                    bad += c.tilde_op(direction, beta, x) != c.tilde_op(direction, beta, x, u=u)
+                    bad += c.tilde_op(direction, beta, x) != conjugated_op(c, direction, x, u)
     return bad
 
 
@@ -81,6 +107,18 @@ def test_corrupted_reflection_fails_conjugator_choice_and_gamma(monkeypatch, x, 
         VerifyFailure("conjugator-choice", f"n=3 lam={format_weight(SHAPE)} conjugator choice independence", "0", str(bad))
     ]
     assert gamma_check in {f.check for f in oracles.failures}
+
+
+@pytest.mark.parametrize("x", [0, 3, 7])
+def test_raised_eps_fails_constant_z_and_string_sums(monkeypatch, x):
+    """A raised eps_1 moves phi_1 with it, so the pairing family cannot see it; these two families must."""
+    eps = Crystal.generate(SHAPE, 3).eps(1, x)
+    corrupt_table(monkeypatch, "_eps", 1, x, eps + 1)
+    atoms, strings = VerifyReport("atoms"), VerifyReport("strings")
+    check_atoms(atoms, 3, sum(SHAPE), MAX_ELEMENTS)
+    check_strings(strings, 3, sum(SHAPE), MAX_ELEMENTS)
+    assert "constant-z" in {f.check for f in atoms.failures}
+    assert "string-sums" in {f.check for f in strings.failures}
 
 
 def corrupt_first_reversible_label(monkeypatch):
