@@ -31,12 +31,12 @@ tilde_op conjugates by the order-preserving u and applies u^{-1} by
 reading a reduced word of u forward; the reference takes any conjugator
 u, inverts it and applies the inverse along a reduced word of its own.
 They must agree for every conjugator, on every element and root of the
-crystals of size <= 6 at ranks 1-4.  The conjugators are the permutations with u(a_n) = a,
-filtered from all of them; conjugators() must list them in the same
-lexicographic order, the order-preserving one first.  atomic_number
-walks once per j and reads eps_k before each step s_k; the reference
-sums eps over each positive root's string, on the same elements, on
-B(1) at rank 40 and on B(2, 1) at rank 10.
+crystals of size <= 6 at ranks 1-4.  The conjugators are the
+permutations with u(a_n) = a, filtered from all of them; conjugators()
+must list them in the same lexicographic order, the order-preserving
+one first.  atomic_number walks once per j and reads eps_k before each
+step s_k; the reference sums eps over each positive root's string, on
+the same elements, on B(1) at rank 40 and on B(2, 1) at rank 10.
 
 kostka's "new" route reads charge from the reading word: for each j,
 one walk applies s_k for k = j..n on the word, reading eps_k before each

@@ -57,11 +57,6 @@ def corrupt_table(monkeypatch, name, i, x, value):
     monkeypatch.setattr(Crystal, "generate", classmethod(corrupted))
 
 
-def corrupt_si(monkeypatch, i, x, image):
-    """Crystal.generate, with s_i(x) of B(SHAPE) at rank 3 replaced by image."""
-    corrupt_table(monkeypatch, "_si", i, x, image)
-
-
 def conjugated_op(c, direction, x, u):
     """u f_n u^{-1} (resp. e_n) along c.si, u^{-1} applied as u's reduced word read forward.
 
@@ -96,7 +91,7 @@ def conjugator_choice_case_by_case(c):
 
 @pytest.mark.parametrize("x, image, gamma_check", [(0, 1, "charge=gamma"), (2, 8, "gamma-divisible")])
 def test_corrupted_reflection_fails_conjugator_choice_and_gamma(monkeypatch, x, image, gamma_check):
-    corrupt_si(monkeypatch, 1, x, image)
+    corrupt_table(monkeypatch, "_si", 1, x, image)
     strings, oracles = VerifyReport("strings"), VerifyReport("oracles")
     check_strings(strings, 3, sum(SHAPE), MAX_ELEMENTS)
     check_oracles(oracles, 3, sum(SHAPE), MAX_ELEMENTS)
