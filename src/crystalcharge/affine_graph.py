@@ -101,7 +101,7 @@ class TwistedGraph:
     """The stage-m twisted Bruhat graph on I(base); immutable.
 
     A view of `interval`: the in-degrees are its own, and the edge list is
-    oriented from the interval's edges on first read.
+    oriented from the interval's edges on each read.
     """
 
     base: Weight
@@ -110,7 +110,7 @@ class TwistedGraph:
     indegree: dict[Weight, int] = field(repr=False)
     interval: IntervalGraph = field(repr=False, compare=False)
 
-    @cached_property
+    @property
     def edges(self) -> tuple[tuple[Weight, Weight, AffineCoroot], ...]:
         """Every edge as (src, dst, label), in the interval's edge order."""
         stage = self.stage

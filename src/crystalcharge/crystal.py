@@ -68,7 +68,9 @@ class StringStats(NamedTuple):
 
 
 def normalize_shape(parts: tuple[int, ...], rank: int) -> Weight:
-    """Validate a partition and pad it with zeros to length rank+1."""
+    """Validate a rank and a partition, and pad the partition with zeros to length rank+1."""
+    if rank < 1:
+        raise ValueError(f"rank must be >= 1, got {rank}")
     parts = tuple(parts)
     if any(p < 0 for p in parts):
         raise ValueError(f"shape {parts} has negative parts")

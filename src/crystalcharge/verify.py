@@ -19,14 +19,17 @@ failure with its family.  Suites:
     hecke     reconstruction of Kostka polynomials from the atomic
               expansion
 
-Sweeps may run independently per (rank, shape); all underlying data is
-immutable.
+One driver walks the sweep once: for each shape it runs every requested
+suite, in SUITES order, on one _Shape.  A suite that reads the shape's
+crystal or its decomposition builds it on first read, and the shapes
+of one run share the stage views of each interval.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
 from math import factorial
 from operator import ne
@@ -43,7 +46,7 @@ from .affine_graph import (
     interval_graph,
     stage_reflection,
 )
-from .atoms import Atom, atomic_number, bplus_components, decompose
+from .atoms import Atom, AtomDecomposition, atomic_number, bplus_components, decompose
 from .charge_kostka import (
     HalfLaurentPolynomial,
     SwappingError,
@@ -116,73 +119,84 @@ def sweep_shapes(rank: int, max_weight: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _sweep_crystals(rank, max_weight, max_elements) -> Iterator[tuple[Weight, Crystal]]:
-    for shape in sweep_shapes(rank, max_weight):
-        lam = normalize_shape(shape, rank)
-        yield lam, Crystal.generate(lam, rank, max_elements)
+class _Shape:
+    """One sweep shape, as every suite reads it: the crystal and its decomposition are built on first read.
 
+    `cache` holds the stage views of each I(h) and is shared by the shapes of one run.
+    """
 
-def _intervals(rank: int) -> Callable[[Weight], IntervalGraph]:
-    """I(lam) -> its interval graph, each a restriction of one graph over I((k,0,...,0)) per size k."""
-    graphs: dict[int, IntervalGraph] = {}
+    def __init__(self, lam: Weight, rank: int, max_elements: int, cache: dict[Weight, list[TwistedGraph]]):
+        self.lam, self.rank, self.max_elements, self.cache = lam, rank, max_elements, cache
 
-    def below(lam: Weight) -> IntervalGraph:
-        size = sum(lam)
-        if size not in graphs:
-            graphs[size] = interval_graph((size,) + (0,) * rank)
-        return graphs[size].restrict(lam)
+    @cached_property
+    def crystal(self) -> Crystal:
+        return Crystal.generate(self.lam, self.rank, self.max_elements)
 
-    return below
+    @cached_property
+    def decomposition(self) -> AtomDecomposition:
+        return decompose(self.crystal)
+
+    def views(self, h: Weight) -> list[TwistedGraph]:
+        """The views of I(h) at stages 0..M, then at infinity, built once per run.
+
+        I(h) is a restriction of the graph over I((k,0,...,0)), k = |h|, which is built once.
+        """
+        if h not in self.cache:
+            top = (sum(h),) + (0,) * self.rank
+            interval = interval_graph(h) if h == top else self.views(top)[0].interval.restrict(h)
+            stages = [interval.at(m) for m in range(interval.stabilization_stage + 1)]
+            self.cache[h] = stages + [interval.at(STAGE_INFINITY)]
+        return self.cache[h]
 
 
 # -- suite: oracles -----------------------------------------------------------
 
 
-def check_oracles(report: VerifyReport, rank: int, max_weight: int, max_elements: int) -> None:
+def check_oracles(report: VerifyReport, shape: _Shape) -> None:
+    lam, rank, c = shape.lam, shape.rank, shape.crystal
     one = HalfLaurentPolynomial.one()
     order = factorial(rank + 1)
-    for lam, c in _sweep_crystals(rank, max_weight, max_elements):
-        # the Weyl average of each element, None where the raw sum does not divide by (n+1)!
-        gammas = []
-        for x in range(c.size):
-            quotient, remainder = divmod(llt_gamma_raw(c, x), order)
-            gammas.append(None if remainder else quotient)
+    # the Weyl average of each element, None where the raw sum does not divide by (n+1)!
+    gammas = []
+    for x in range(c.size):
+        quotient, remainder = divmod(llt_gamma_raw(c, x), order)
+        gammas.append(None if remainder else quotient)
 
-        for mu in dominant_interval(lam):
-            base = f"n={rank} lam={format_weight(lam)} mu={format_weight(mu)}"
-            elements = c.elements_of_weight(mu)
-            tableaux = [c.elements[x] for x in elements]
-            k_new = kostka_of_tableaux(tableaux, mu, "new")
-            k_ls = kostka_of_tableaux(tableaux, mu, "ls")
-            llt = [gammas[x] for x in elements]
-            k_llt = None if None in llt else HalfLaurentPolynomial(Counter(2 * g for g in llt))
-            count = kostka_of_tableaux(tableaux, mu, "count").evaluate_at_one()
-            report.record("new=ls", k_new == k_ls, f"{base} new=ls", k_new.text(), k_ls.text())
-            llt_text = "a gamma sum not divisible" if k_llt is None else k_llt.text()
-            report.record("new=llt", k_new == k_llt, f"{base} new=llt", k_new.text(), llt_text)
-            report.record(
-                "q=1", k_new.evaluate_at_one() == count, f"{base} value at q=1", count, k_new.evaluate_at_one()
-            )
-            if mu == lam:
-                report.record("K(lam,lam)=1", k_new == one, f"{base} K(lam,lam)=1", "1", k_new.text())
+    for mu in dominant_interval(lam):
+        base = f"n={rank} lam={format_weight(lam)} mu={format_weight(mu)}"
+        elements = c.elements_of_weight(mu)
+        tableaux = [c.elements[x] for x in elements]
+        k_new = kostka_of_tableaux(tableaux, mu, "new")
+        k_ls = kostka_of_tableaux(tableaux, mu, "ls")
+        llt = [gammas[x] for x in elements]
+        k_llt = None if None in llt else HalfLaurentPolynomial(Counter(2 * g for g in llt))
+        count = kostka_of_tableaux(tableaux, mu, "count").evaluate_at_one()
+        report.record("new=ls", k_new == k_ls, f"{base} new=ls", k_new.text(), k_ls.text())
+        llt_text = "a gamma sum not divisible" if k_llt is None else k_llt.text()
+        report.record("new=llt", k_new == k_llt, f"{base} new=llt", k_new.text(), llt_text)
+        report.record(
+            "q=1", k_new.evaluate_at_one() == count, f"{base} value at q=1", count, k_new.evaluate_at_one()
+        )
+        if mu == lam:
+            report.record("K(lam,lam)=1", k_new == one, f"{base} K(lam,lam)=1", "1", k_new.text())
 
-        base = f"n={rank} lam={format_weight(lam)}"
-        bad_divisible = gammas.count(None)
-        bad_coincide = sum(
-            1
-            for x, gamma in enumerate(gammas)
-            if gamma is not None and is_dominant(c.weight(x)) and charge(c, x) != 2 * gamma
-        )
-        report.record(
-            "gamma-divisible", bad_divisible == 0, f"{base} gamma sums divisible by (n+1)!", 0, bad_divisible
-        )
-        report.record(
-            "charge=gamma",
-            bad_coincide == 0,
-            f"{base} charge equals gamma on dominant elements",
-            0,
-            bad_coincide,
-        )
+    base = f"n={rank} lam={format_weight(lam)}"
+    bad_divisible = gammas.count(None)
+    bad_coincide = sum(
+        1
+        for x, gamma in enumerate(gammas)
+        if gamma is not None and is_dominant(c.weight(x)) and charge(c, x) != 2 * gamma
+    )
+    report.record(
+        "gamma-divisible", bad_divisible == 0, f"{base} gamma sums divisible by (n+1)!", 0, bad_divisible
+    )
+    report.record(
+        "charge=gamma",
+        bad_coincide == 0,
+        f"{base} charge equals gamma on dominant elements",
+        0,
+        bad_coincide,
+    )
 
 
 # -- suite: atoms -------------------------------------------------------------
@@ -202,83 +216,82 @@ def validate_atom(report: VerifyReport, atom: Atom, crystal: Crystal, case: str)
         report.record(check, ok, f"{case} {check}", "pass", detail)
 
 
-def check_atoms(report: VerifyReport, rank: int, max_weight: int, max_elements: int) -> None:
-    for lam, c in _sweep_crystals(rank, max_weight, max_elements):
-        base = f"n={rank} lam={format_weight(lam)}"
-        dec = decompose(c)
+def check_atoms(report: VerifyReport, shape: _Shape) -> None:
+    lam, rank, c, dec = shape.lam, shape.rank, shape.crystal, shape.decomposition
+    base = f"n={rank} lam={format_weight(lam)}"
 
-        covered = sorted(x for atom in dec.atoms for x in atom.element_ids)
-        report.record(
-            "partition",
-            covered == list(range(c.size)),
-            f"{base} atoms partition the crystal",
-            f"{c.size} elements",
-            f"{len(covered)} covered",
-        )
+    covered = sorted(x for atom in dec.atoms for x in atom.element_ids)
+    report.record(
+        "partition",
+        covered == list(range(c.size)),
+        f"{base} atoms partition the crystal",
+        f"{c.size} elements",
+        f"{len(covered)} covered",
+    )
 
-        for idx, atom in enumerate(dec.atoms):
-            validate_atom(report, atom, c, f"{base} atom#{idx}")
+    for idx, atom in enumerate(dec.atoms):
+        validate_atom(report, atom, c, f"{base} atom#{idx}")
 
-        dominant_parts = sorted(
-            tuple(x for x in atom.element_ids if is_dominant(c.weight(x)))
-            for atom in dec.atoms
-        )
-        bplus_parts = sorted(bplus_components(c))
-        report.record(
-            "tilde-components",
-            dominant_parts == bplus_parts,
-            f"{base} tilde components match atom restriction",
-            dominant_parts,
-            bplus_parts,
-        )
+    dominant_parts = sorted(
+        tuple(x for x in atom.element_ids if is_dominant(c.weight(x)))
+        for atom in dec.atoms
+    )
+    bplus_parts = sorted(bplus_components(c))
+    report.record(
+        "tilde-components",
+        dominant_parts == bplus_parts,
+        f"{base} tilde components match atom restriction",
+        dominant_parts,
+        bplus_parts,
+    )
 
-        for mu in dominant_interval(lam):
-            holding = sum(
-                1 for atom in dec.atoms if bruhat_leq_dominant(mu, atom.highest_weight)
-            )
-            report.record(
-                "multiplicity",
-                holding == len(c.elements_of_weight(mu)),
-                f"{base} multiplicity at mu={format_weight(mu)}",
-                len(c.elements_of_weight(mu)),
-                holding,
-            )
-
-        bad_closure = 0
-        bad_iff = 0
-        for x in range(c.size):
-            atom_idx = dec.member_of[x]
-            highest = dec.atoms[atom_idx].highest_weight
-            for j in range(1, rank + 1):
-                beta = (j, rank)
-                for direction in ("f", "e"):
-                    y = c.root_op(direction, beta, x)
-                    if y is not None and dec.member_of[y] != atom_idx:
-                        bad_closure += 1
-                vec = root_vector(beta, rank)
-                mu = c.weight(x)
-                # f_beta^k = w f_n^k w^{-1}: conjugate once, then one f_n step per power
-                y = x
-                for i in range(j, rank):
-                    y = c.si(i, y)
-                k = 1
-                while True:
-                    y = c.f(rank, y)
-                    alive = y is not None
-                    shifted = tuple(a - k * b for a, b in zip(mu, vec))
-                    inside = bruhat_leq_dominant(shifted, highest)
-                    if alive != inside:
-                        bad_iff += 1
-                        break
-                    if not alive:
-                        break
-                    k += 1
-        report.record(
-            "closure", bad_closure == 0, f"{base} last-column operators preserve atoms", 0, bad_closure
+    for mu in dominant_interval(lam):
+        holding = sum(
+            1 for atom in dec.atoms if bruhat_leq_dominant(mu, atom.highest_weight)
         )
         report.record(
-            "lowering-depth", bad_iff == 0, f"{base} lowering power matches interval depth", 0, bad_iff
+            "multiplicity",
+            holding == len(c.elements_of_weight(mu)),
+            f"{base} multiplicity at mu={format_weight(mu)}",
+            len(c.elements_of_weight(mu)),
+            holding,
         )
+
+    bad_closure = 0
+    bad_iff = 0
+    for x in range(c.size):
+        atom_idx = dec.member_of[x]
+        highest = dec.atoms[atom_idx].highest_weight
+        for j in range(1, rank + 1):
+            beta = (j, rank)
+            for direction in ("f", "e"):
+                y = c.root_op(direction, beta, x)
+                if y is not None and dec.member_of[y] != atom_idx:
+                    bad_closure += 1
+            vec = root_vector(beta, rank)
+            mu = c.weight(x)
+            # f_beta^k = w f_n^k w^{-1}: conjugate once, then one f_n step per power
+            y = x
+            for i in range(j, rank):
+                y = c.si(i, y)
+            k = 1
+            while True:
+                y = c.f(rank, y)
+                alive = y is not None
+                shifted = tuple(a - k * b for a, b in zip(mu, vec))
+                inside = bruhat_leq_dominant(shifted, highest)
+                if alive != inside:
+                    bad_iff += 1
+                    break
+                if not alive:
+                    break
+                k += 1
+    report.record(
+        "closure", bad_closure == 0, f"{base} last-column operators preserve atoms", 0, bad_closure
+    )
+    report.record(
+        "lowering-depth", bad_iff == 0, f"{base} lowering power matches interval depth", 0, bad_iff
+    )
 
 
 # -- suite: strings ------------------------------------------------------------
@@ -300,69 +313,69 @@ def _weyl_tables(c: Crystal) -> Callable[[tuple[int, ...]], list[int]]:
     return table
 
 
-def check_strings(report: VerifyReport, rank: int, max_weight: int, max_elements: int) -> None:
-    for lam, c in _sweep_crystals(rank, max_weight, max_elements):
-        base = f"n={rank} lam={format_weight(lam)}"
-        roots = positive_roots(rank)
+def check_strings(report: VerifyReport, shape: _Shape) -> None:
+    rank, c = shape.rank, shape.crystal
+    base = f"n={rank} lam={format_weight(shape.lam)}"
+    roots = positive_roots(rank)
 
-        # phi_k - eps_k is the pairing at w^{-1} x by definition, so this checks that s_i moves weights
-        bad = 0
+    # phi_k - eps_k is the pairing at w^{-1} x by definition, so this checks that s_i moves weights
+    bad = 0
+    for x in range(c.size):
+        for beta in roots:
+            stats = c.root_string_stats(beta, x)
+            if stats.phi - stats.eps != pairing(c.weight(x), beta):
+                bad += 1
+    report.record("pairing", bad == 0, f"{base} phi-eps pairing identity", 0, bad)
+
+    bad = 0
+    for i in range(1, rank):
+        beta = (i, i + 1)
         for x in range(c.size):
-            for beta in roots:
-                stats = c.root_string_stats(beta, x)
-                if stats.phi - stats.eps != pairing(c.weight(x), beta):
-                    bad += 1
-        report.record("pairing", bad == 0, f"{base} phi-eps pairing identity", 0, bad)
-
-        bad = 0
-        for i in range(1, rank):
-            beta = (i, i + 1)
-            for x in range(c.size):
-                y = c.root_op("f", beta, x)
-                if y is None:
-                    continue
-                if c.eps(i, x) + c.phi(i + 1, x) != c.eps(i, y) + c.phi(i + 1, y):
-                    bad += 1
-        report.record("string-sums", bad == 0, f"{base} eps_i + phi_(i+1) constant on strings", 0, bad)
-
-        if rank >= 3:
-            bad = 0
-            # f_n and e_n of every element
-            last = {d: [op(rank, x) for x in range(c.size)] for d, op in (("f", c.f), ("e", c.e))}
-            weyl_table = _weyl_tables(c)
-            for beta in roots:
-                reference = conjugating_permutation(rank, beta)
-                expected = {d: [c.tilde_op(d, beta, x) for x in range(c.size)] for d in last}
-                for u in conjugators(rank, beta):
-                    if u == reference:
-                        continue
-                    word = reduced_word(u)
-                    u_table, u_inverse = weyl_table(word), weyl_table(word[::-1])
-                    for direction, op in last.items():
-                        got = [None if y is None else u_table[y] for y in map(op.__getitem__, u_inverse)]
-                        bad += sum(map(ne, got, expected[direction]))
-            report.record("conjugator-choice", bad == 0, f"{base} conjugator choice independence", 0, bad)
-
-        bad = 0
-        for x in range(c.size):
-            mu = c.weight(x)
-            if not is_dominant(mu):
+            y = c.root_op("f", beta, x)
+            if y is None:
                 continue
-            for j in range(1, rank + 1):
-                for k in range(j + 1, rank + 1):
-                    gamma = (j, k)
-                    for split in range(j, k):
-                        alpha, beta = (j, split), (split + 1, k)
-                        if pairing(mu, alpha) <= 0 or pairing(mu, beta) <= 0:
-                            continue
-                        via_ab = c.tilde_op("f", alpha, x)
-                        via_ab = via_ab if via_ab is None else c.tilde_op("f", beta, via_ab)
-                        via_ba = c.tilde_op("f", beta, x)
-                        via_ba = via_ba if via_ba is None else c.tilde_op("f", alpha, via_ba)
-                        direct = c.tilde_op("f", gamma, x)
-                        if direct is None or via_ab != direct or via_ba != direct:
-                            bad += 1
-        report.record("commutation", bad == 0, f"{base} sum-root commutation on dominant elements", 0, bad)
+            if c.eps(i, x) + c.phi(i + 1, x) != c.eps(i, y) + c.phi(i + 1, y):
+                bad += 1
+    report.record("string-sums", bad == 0, f"{base} eps_i + phi_(i+1) constant on strings", 0, bad)
+
+    if rank >= 3:
+        bad = 0
+        # f_n and e_n of every element
+        last = {d: [op(rank, x) for x in range(c.size)] for d, op in (("f", c.f), ("e", c.e))}
+        weyl_table = _weyl_tables(c)
+        for beta in roots:
+            reference = conjugating_permutation(rank, beta)
+            expected = {d: [c.tilde_op(d, beta, x) for x in range(c.size)] for d in last}
+            for u in conjugators(rank, beta):
+                if u == reference:
+                    continue
+                word = reduced_word(u)
+                u_table, u_inverse = weyl_table(word), weyl_table(word[::-1])
+                for direction, op in last.items():
+                    got = [None if y is None else u_table[y] for y in map(op.__getitem__, u_inverse)]
+                    bad += sum(map(ne, got, expected[direction]))
+        report.record("conjugator-choice", bad == 0, f"{base} conjugator choice independence", 0, bad)
+
+    bad = 0
+    for x in range(c.size):
+        mu = c.weight(x)
+        if not is_dominant(mu):
+            continue
+        for j in range(1, rank + 1):
+            for k in range(j + 1, rank + 1):
+                gamma = (j, k)
+                for split in range(j, k):
+                    alpha, beta = (j, split), (split + 1, k)
+                    if pairing(mu, alpha) <= 0 or pairing(mu, beta) <= 0:
+                        continue
+                    via_ab = c.tilde_op("f", alpha, x)
+                    via_ab = via_ab if via_ab is None else c.tilde_op("f", beta, via_ab)
+                    via_ba = c.tilde_op("f", beta, x)
+                    via_ba = via_ba if via_ba is None else c.tilde_op("f", alpha, via_ba)
+                    direct = c.tilde_op("f", gamma, x)
+                    if direct is None or via_ab != direct or via_ba != direct:
+                        bad += 1
+    report.record("commutation", bad == 0, f"{base} sum-root commutation on dominant elements", 0, bad)
 
 
 # -- suite: arrows -------------------------------------------------------------
@@ -406,239 +419,218 @@ def _bad_labels(interval: IntervalGraph) -> list[int]:
     return list(accumulate(changes))
 
 
-def check_arrows(report: VerifyReport, rank: int, max_weight: int, max_elements: int) -> None:
-    below = _intervals(rank)
-    infinity: dict[Weight, TwistedGraph] = {}
-    for shape in sweep_shapes(rank, max_weight):
-        lam = normalize_shape(shape, rank)
-        base = f"n={rank} lam'={format_weight(lam)}"
-        interval = below(lam)
-        stage_m = interval.stabilization_stage
-        views = [interval.at(m) for m in range(stage_m + 1)]
+def check_arrows(report: VerifyReport, shape: _Shape) -> None:
+    lam, rank = shape.lam, shape.rank
+    base = f"n={rank} lam'={format_weight(lam)}"
+    *views, ginf = shape.views(lam)
+    interval = ginf.interval
+    stage_m = interval.stabilization_stage
 
-        g0 = views[0]
-        bad = sum(1 for mu in g0.vertices if g0.arr(mu) != length(mu))
-        report.record("stage0-length", bad == 0, f"{base} stage-0 in-degree equals length", 0, bad)
+    g0 = views[0]
+    bad = sum(1 for mu in g0.vertices if g0.arr(mu) != length(mu))
+    report.record("stage0-length", bad == 0, f"{base} stage-0 in-degree equals length", 0, bad)
 
-        ginf = infinity[lam] = interval.at(STAGE_INFINITY)
-        bad = sum(1 for mu in ginf.vertices if ginf.arr(mu) != arr_infinity_formula(mu, lam))
-        report.record("infinity-closed-form", bad == 0, f"{base} infinity in-degree closed form", 0, bad)
+    bad = sum(1 for mu in ginf.vertices if ginf.arr(mu) != arr_infinity_formula(mu, lam))
+    report.record("infinity-closed-form", bad == 0, f"{base} infinity in-degree closed form", 0, bad)
 
+    report.record(
+        "stabilization",
+        set(views[stage_m].edges) == set(ginf.edges),
+        f"{base} stabilization at stage {stage_m}",
+        "stage graph equals infinity graph",
+        "differs",
+    )
+
+    bad_labels = _bad_labels(interval)
+    # stage infinity turns the edges stage M turns
+    for g, bad in zip(views + [ginf], bad_labels + bad_labels[-1:]):
         report.record(
-            "stabilization",
-            set(views[stage_m].edges) == set(ginf.edges),
-            f"{base} stabilization at stage {stage_m}",
-            "stage graph equals infinity graph",
-            "differs",
+            "edge-labels", bad == 0, f"{base} stage {g.stage} edge labels reflect head to tail", 0, bad
         )
 
-        bad_labels = _bad_labels(interval)
-        # stage infinity turns the edges stage M turns
-        for g, bad in zip(views + [ginf], bad_labels + bad_labels[-1:]):
-            report.record(
-                "edge-labels", bad == 0, f"{base} stage {g.stage} edge labels reflect head to tail", 0, bad
-            )
+    for m in range(stage_m):
+        g, g_next = views[m], views[m + 1]
+        t = stage_reflection(m + 1, rank)
+        bad = sum(1 for mu in g.vertices if g_next.arr(mu) - g.arr(mu) != _wall_delta(t, mu, g))
+        report.record("update-rule", bad == 0, f"{base} update rule into stage {m + 1}", 0, bad)
 
-        for m in range(stage_m):
-            g, g_next = views[m], views[m + 1]
-            t = stage_reflection(m + 1, rank)
-            bad = sum(1 for mu in g.vertices if g_next.arr(mu) - g.arr(mu) != _wall_delta(t, mu, g))
-            report.record("update-rule", bad == 0, f"{base} update rule into stage {m + 1}", 0, bad)
-
-    for lam, c in _sweep_crystals(rank, max_weight, max_elements):
-        base = f"n={rank} lam={format_weight(lam)}"
-        dec = decompose(c)
-        bad = 0
-        for x in range(c.size):
-            mu = c.weight(x)
-            ginf = infinity[dec.atom_of(x).highest_weight]
-            formula = sum(
-                c.root_string_stats(beta, x).phi
-                if not in_parabolic(beta, rank)
-                else length_along(mu, beta)
-                for beta in positive_roots(rank)
-            )
-            if ginf.arr(mu) != formula:
-                bad += 1
-        report.record("per-element-infinity", bad == 0, f"{base} per-element infinity formula", 0, bad)
+    c, dec = shape.crystal, shape.decomposition
+    base = f"n={rank} lam={format_weight(lam)}"
+    bad = 0
+    for x in range(c.size):
+        mu = c.weight(x)
+        ginf = shape.views(dec.atom_of(x).highest_weight)[-1]
+        formula = sum(
+            c.root_string_stats(beta, x).phi
+            if not in_parabolic(beta, rank)
+            else length_along(mu, beta)
+            for beta in positive_roots(rank)
+        )
+        if ginf.arr(mu) != formula:
+            bad += 1
+    report.record("per-element-infinity", bad == 0, f"{base} per-element infinity formula", 0, bad)
 
 
 # -- suite: gammam --------------------------------------------------------------
 
 
-def check_gammam(report: VerifyReport, rank: int, max_weight: int, max_elements: int) -> None:
-    below = _intervals(rank)
-    for shape in sweep_shapes(rank, max_weight):
-        lam = normalize_shape(shape, rank)
-        base = f"n={rank} lam'={format_weight(lam)}"
-        interval = below(lam)
-        for m in range(interval.stabilization_stage):
-            g = interval.at(m)
-            bad = 0
-            applicable = 0
-            for mu, tmu in _reflected_pairs(stage_reflection(m + 1, rank), g):
-                applicable += 1
-                if g.arr(mu) != g.arr(tmu) - 1:
-                    bad += 1
-            report.record(
-                "wall-difference",
-                bad == 0,
-                f"{base} stage {m} in-degree difference ({applicable} pairs)",
-                0,
-                bad,
-            )
+def check_gammam(report: VerifyReport, shape: _Shape) -> None:
+    base = f"n={shape.rank} lam'={format_weight(shape.lam)}"
+    # stages 0..M-1: the views at M and at infinity cross no further wall
+    for m, g in enumerate(shape.views(shape.lam)[:-2]):
+        bad = 0
+        applicable = 0
+        for mu, tmu in _reflected_pairs(stage_reflection(m + 1, shape.rank), g):
+            applicable += 1
+            if g.arr(mu) != g.arr(tmu) - 1:
+                bad += 1
+        report.record(
+            "wall-difference",
+            bad == 0,
+            f"{base} stage {m} in-degree difference ({applicable} pairs)",
+            0,
+            bad,
+        )
 
 
 # -- suite: swapping -------------------------------------------------------------
 
 
-def check_swapping(report: VerifyReport, rank: int, max_weight: int, max_elements: int) -> None:
-    below = _intervals(rank)
-    views: dict[Weight, list[TwistedGraph]] = {}
-    for lam, c in _sweep_crystals(rank, max_weight, max_elements):
-        base = f"n={rank} lam={format_weight(lam)}"
-        dec = decompose(c)
+def check_swapping(report: VerifyReport, shape: _Shape) -> None:
+    rank, c, dec = shape.rank, shape.crystal, shape.decomposition
+    base = f"n={rank} lam={format_weight(shape.lam)}"
+    images: dict[tuple[int, Weight], list[int]] = {}
 
-        for atom in dec.atoms:
-            if atom.highest_weight not in views:
-                interval = below(atom.highest_weight)
-                views[atom.highest_weight] = [
-                    interval.at(m) for m in range(interval.stabilization_stage + 1)
-                ]
-
-        images: dict[tuple[int, Weight], list[int]] = {}
-
-        for atom_idx, atom in enumerate(dec.atoms):
-            stage_views = views[atom.highest_weight]
-            element_at: dict[Weight, int] = {}
-            duplicate = False
-            for x in atom.element_ids:
-                if c.weight(x) in element_at:
-                    duplicate = True
-                element_at[c.weight(x)] = x
-            if duplicate:
-                report.record(
-                    "repeated-weights", False, f"{base} atom#{atom_idx} weights repeat", "multiplicity one", "repeat"
-                )
-                continue
-
-            for m in range(len(stage_views) - 1):
-                coroot = stage_reflection(m + 1, rank)
-                g, g_next = stage_views[m], stage_views[m + 1]
-                psi_images = set()
-                bad_totality = 0
-                bad_weight = 0
-                bad_atom = 0
-                bad_drop = 0
-                applicable = 0
-                for mu, tmu in _reflected_pairs(coroot, g):
-                    applicable += 1
-                    x = element_at.get(tmu)
-                    if x is None:
-                        bad_totality += 1
-                        continue
-                    try:
-                        y = swapping_map(c, dec, m, mu, x)
-                    except SwappingError:
-                        bad_totality += 1
-                        continue
-                    if c.weight(y) != mu:
-                        bad_weight += 1
-                    if dec.member_of[y] != atom_idx:
-                        bad_atom += 1
-                    y_graph = g_next if dec.member_of[y] == atom_idx else None
-                    # recharge values are doubled: a drop of one reads 2
-                    drop = recharge(c, dec, x, m + 1, g_next) - recharge(c, dec, y, m + 1, y_graph)
-                    if drop != 2:
-                        bad_drop += 1
-                    psi_images.add(y)
-                    images.setdefault((m, tmu), []).append(y)
-                if applicable:
-                    report.record(
-                        "psi-total",
-                        bad_totality == 0,
-                        f"{base} atom#{atom_idx} stage {m} psi total",
-                        0,
-                        bad_totality,
-                    )
-                    report.record(
-                        "psi-target",
-                        bad_weight + bad_atom == 0,
-                        f"{base} atom#{atom_idx} stage {m} psi lands at mu inside the atom",
-                        0,
-                        bad_weight + bad_atom,
-                    )
-                    report.record(
-                        "recharge-drop",
-                        bad_drop == 0,
-                        f"{base} atom#{atom_idx} stage {m} recharge drops by one",
-                        0,
-                        bad_drop,
-                    )
-
-                bad_delta = 0
-                plus_cases = set()
-                for x in atom.element_ids:
-                    mu = c.weight(x)
-                    expected = _wall_delta(coroot, mu, g)
-                    if expected == 1:
-                        plus_cases.add(x)
-                    if g_next.arr(mu) - g.arr(mu) != expected:
-                        bad_delta += 1
-                report.record(
-                    "three-case-delta",
-                    bad_delta == 0,
-                    f"{base} atom#{atom_idx} stage {m} three-case delta",
-                    0,
-                    bad_delta,
-                )
-                report.record(
-                    "psi-images",
-                    plus_cases == psi_images,
-                    f"{base} atom#{atom_idx} stage {m} +1 cases are the psi images",
-                    sorted(plus_cases),
-                    sorted(psi_images),
-                )
-
-        for (m, tmu), targets in sorted(images.items()):
+    for atom_idx, atom in enumerate(dec.atoms):
+        stage_views = shape.views(atom.highest_weight)[:-1]
+        element_at: dict[Weight, int] = {}
+        duplicate = False
+        for x in atom.element_ids:
+            if c.weight(x) in element_at:
+                duplicate = True
+            element_at[c.weight(x)] = x
+        if duplicate:
             report.record(
-                "psi-injective",
-                len(targets) == len(set(targets)),
-                f"{base} stage {m} psi injective on weight {format_weight(tmu)}",
-                len(targets),
-                len(set(targets)),
+                "repeated-weights", False, f"{base} atom#{atom_idx} weights repeat", "multiplicity one", "repeat"
             )
+            continue
+
+        for m in range(len(stage_views) - 1):
+            coroot = stage_reflection(m + 1, rank)
+            g, g_next = stage_views[m], stage_views[m + 1]
+            psi_images = set()
+            bad_totality = 0
+            bad_weight = 0
+            bad_atom = 0
+            bad_drop = 0
+            applicable = 0
+            for mu, tmu in _reflected_pairs(coroot, g):
+                applicable += 1
+                x = element_at.get(tmu)
+                if x is None:
+                    bad_totality += 1
+                    continue
+                try:
+                    y = swapping_map(c, dec, m, mu, x)
+                except SwappingError:
+                    bad_totality += 1
+                    continue
+                if c.weight(y) != mu:
+                    bad_weight += 1
+                if dec.member_of[y] != atom_idx:
+                    bad_atom += 1
+                y_graph = g_next if dec.member_of[y] == atom_idx else None
+                # recharge values are doubled: a drop of one reads 2
+                drop = recharge(c, dec, x, m + 1, g_next) - recharge(c, dec, y, m + 1, y_graph)
+                if drop != 2:
+                    bad_drop += 1
+                psi_images.add(y)
+                images.setdefault((m, tmu), []).append(y)
+            if applicable:
+                report.record(
+                    "psi-total",
+                    bad_totality == 0,
+                    f"{base} atom#{atom_idx} stage {m} psi total",
+                    0,
+                    bad_totality,
+                )
+                report.record(
+                    "psi-target",
+                    bad_weight + bad_atom == 0,
+                    f"{base} atom#{atom_idx} stage {m} psi lands at mu inside the atom",
+                    0,
+                    bad_weight + bad_atom,
+                )
+                report.record(
+                    "recharge-drop",
+                    bad_drop == 0,
+                    f"{base} atom#{atom_idx} stage {m} recharge drops by one",
+                    0,
+                    bad_drop,
+                )
+
+            bad_delta = 0
+            plus_cases = set()
+            for x in atom.element_ids:
+                mu = c.weight(x)
+                expected = _wall_delta(coroot, mu, g)
+                if expected == 1:
+                    plus_cases.add(x)
+                if g_next.arr(mu) - g.arr(mu) != expected:
+                    bad_delta += 1
+            report.record(
+                "three-case-delta",
+                bad_delta == 0,
+                f"{base} atom#{atom_idx} stage {m} three-case delta",
+                0,
+                bad_delta,
+            )
+            report.record(
+                "psi-images",
+                plus_cases == psi_images,
+                f"{base} atom#{atom_idx} stage {m} +1 cases are the psi images",
+                sorted(plus_cases),
+                sorted(psi_images),
+            )
+
+    for (m, tmu), targets in sorted(images.items()):
+        report.record(
+            "psi-injective",
+            len(targets) == len(set(targets)),
+            f"{base} stage {m} psi injective on weight {format_weight(tmu)}",
+            len(targets),
+            len(set(targets)),
+        )
 
 
 # -- suite: hecke -----------------------------------------------------------------
 
 
-def check_hecke(report: VerifyReport, rank: int, max_weight: int, max_elements: int) -> None:
+def check_hecke(report: VerifyReport, shape: _Shape) -> None:
+    lam, c = shape.lam, shape.crystal
     one = HalfLaurentPolynomial.one()
-    for lam, c in _sweep_crystals(rank, max_weight, max_elements):
-        base = f"n={rank} lam={format_weight(lam)}"
-        dec = decompose(c)
-        expansion = hecke_atomic_expansion(c, dec)
+    base = f"n={shape.rank} lam={format_weight(lam)}"
+    expansion = hecke_atomic_expansion(c, shape.decomposition)
+    report.record(
+        "leading-coefficient",
+        expansion.coeffs.get(lam) == one,
+        f"{base} leading coefficient",
+        "1",
+        (expansion.coeffs.get(lam) or HalfLaurentPolynomial.zero()).text("v"),
+    )
+    bad = sum(0 if poly.coefficients_nonnegative() else 1 for poly in expansion.coeffs.values())
+    report.record("nonnegative", bad == 0, f"{base} coefficients nonnegative", 0, bad)
+    for nu in dominant_interval(lam):
+        lhs = kostka_from_hecke(expansion, nu)
+        tableaux = [c.elements[x] for x in c.elements_of_weight(nu)]
+        rhs = kostka_of_tableaux(tableaux, nu, "new").scale_exponents(2)
         report.record(
-            "leading-coefficient",
-            expansion.coeffs.get(lam) == one,
-            f"{base} leading coefficient",
-            "1",
-            (expansion.coeffs.get(lam) or HalfLaurentPolynomial.zero()).text("v"),
+            "reconstruction",
+            lhs == rhs,
+            f"{base} reconstruction at nu={format_weight(nu)}",
+            rhs.text("v"),
+            lhs.text("v"),
         )
-        bad = sum(0 if poly.coefficients_nonnegative() else 1 for poly in expansion.coeffs.values())
-        report.record("nonnegative", bad == 0, f"{base} coefficients nonnegative", 0, bad)
-        for nu in dominant_interval(lam):
-            lhs = kostka_from_hecke(expansion, nu)
-            tableaux = [c.elements[x] for x in c.elements_of_weight(nu)]
-            rhs = kostka_of_tableaux(tableaux, nu, "new").scale_exponents(2)
-            report.record(
-                "reconstruction",
-                lhs == rhs,
-                f"{base} reconstruction at nu={format_weight(nu)}",
-                rhs.text("v"),
-                lhs.text("v"),
-            )
 
 
 # -- driver ------------------------------------------------------------------------
@@ -650,12 +642,13 @@ def run_verify(
     max_weight: int = 4,
     max_elements: int = DEFAULT_MAX_ELEMENTS,
 ) -> VerifyReport:
-    """Run one named suite (or all of them) over the sweep bounds."""
+    """Run one named suite (or all of them) over the sweep bounds, shape by shape."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
     if max_weight < 0:
         raise ValueError(f"max weight must be nonnegative, got {max_weight}")
     report = VerifyReport(suite)
+    views: dict[Weight, list[TwistedGraph]] = {}
     # Looked up per call, so a wrapper installed on a module attribute takes effect.
     checks = {
         "oracles": check_oracles,
@@ -666,6 +659,9 @@ def run_verify(
         "strings": check_strings,
         "hecke": check_hecke,
     }
-    for name in SUITES[:-1] if suite == "all" else (suite,):
-        checks[name](report, rank, max_weight, max_elements)
+    names = SUITES[:-1] if suite == "all" else (suite,)
+    for lam in sweep_shapes(rank, max_weight):
+        shape = _Shape(normalize_shape(lam, rank), rank, max_elements, views)
+        for name in names:
+            checks[name](report, shape)
     return report

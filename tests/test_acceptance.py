@@ -11,10 +11,11 @@ belongs to exactly one criterion.
 
 import pytest
 
-from crystalcharge import cli
+from crystalcharge import cli, verify
+from crystalcharge.atoms import decompose
 from crystalcharge.charge_kostka import kostka
-from crystalcharge.crystal import Crystal
-from crystalcharge.verify import SUITES, run_verify
+from crystalcharge.crystal import Crystal, normalize_shape
+from crystalcharge.verify import SUITES, run_verify, sweep_shapes
 
 FULL_SWEEP = ((1, 8), (2, 8), (3, 8), (4, 6))
 GAMMAM_SWEEP = ((1, 8), (2, 8), (3, 8))
@@ -182,7 +183,10 @@ def test_every_check_family_belongs_to_one_criterion(suites):
 
 @pytest.mark.parametrize(
     "suite, cases",
-    [("oracles", 54), ("atoms", 63), ("strings", 21), ("arrows", 58), ("gammam", 8), ("swapping", 50), ("hecke", 25)],
+    [
+        ("oracles", 54), ("atoms", 63), ("strings", 21), ("arrows", 58),
+        ("gammam", 8), ("swapping", 50), ("hecke", 25), ("all", 279),
+    ],
 )
 def test_suite_sizes_at_rank_2_weight_3(suite, cases):
     report = run_verify(suite, 2, 3)
@@ -193,9 +197,30 @@ def test_suite_sizes_at_rank_2_weight_3(suite, cases):
     "suite, cases",
     [
         ("oracles", 219), ("atoms", 262), ("strings", 76), ("arrows", 354),
-        ("gammam", 120), ("swapping", 2245), ("hecke", 92),
+        ("gammam", 120), ("swapping", 2245), ("hecke", 92), ("all", 3368),
     ],
 )
 def test_suite_sizes_at_rank_5_weight_5(suite, cases):
     report = run_verify(suite, 5, 5)
     assert (report.cases, report.failures) == (cases, [])
+
+
+def test_verify_all_generates_each_crystal_once_and_decomposes_it_at_most_once(monkeypatch):
+    generate = Crystal.generate.__func__
+    generated, decomposed = [], []
+
+    def counted_generate(cls, shape, rank, max_elements):
+        generated.append((tuple(shape), rank))
+        return generate(cls, shape, rank, max_elements)
+
+    def counted_decompose(c):
+        decomposed.append((c.shape, c.rank))
+        return decompose(c)
+
+    monkeypatch.setattr(Crystal, "generate", classmethod(counted_generate))
+    monkeypatch.setattr(verify, "decompose", counted_decompose)
+    report = run_verify("all", 3, 5)
+    shapes = [(normalize_shape(shape, 3), 3) for shape in sweep_shapes(3, 5)]
+    assert not report.failures
+    assert generated == shapes
+    assert len(decomposed) == len(set(decomposed)) and set(decomposed) <= set(shapes)

@@ -363,7 +363,7 @@ def counting_interval_graph(monkeypatch, *modules):
     return calls
 
 
-@pytest.mark.parametrize("suite", ["arrows", "gammam", "swapping"])
+@pytest.mark.parametrize("suite", ["arrows", "gammam", "swapping", "all"])
 def test_verify_suite_builds_one_graph_per_size(monkeypatch, suite):
     calls = counting_interval_graph(monkeypatch, verify)
     report = run_verify(suite, 3, 5)

@@ -30,6 +30,7 @@ from crystalcharge.crystal import (
     weyl_dimension,
 )
 from crystalcharge.root_data import pairing, positive_roots, root_vector
+from crystalcharge.verify import run_verify
 
 
 def brute_force_tableaux(parts, max_entry):
@@ -124,6 +125,21 @@ def test_generate_rejects_bad_shapes():
         Crystal.generate((1, 2), 2)
     with pytest.raises(ValueError):
         Crystal.generate((1, 1, 1), 1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: run_verify("all", 0, 2),
+        lambda: run_verify("oracles", 0, 2),
+        lambda: decompose(Crystal.generate((2,), 0)),
+        lambda: kostka((2,), (2,)),
+    ],
+    ids=["verify-all", "verify-oracles", "decompose", "kostka"],
+)
+def test_rank_zero_is_rejected(call):
+    with pytest.raises(ValueError, match="rank must be >= 1, got 0"):
+        call()
 
 
 def test_op_rejects_unknown_direction(c20):

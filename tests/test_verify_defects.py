@@ -14,7 +14,9 @@ route reads eps on reading words through charge_kostka's
 unmatched_letters; a kernel that counts one unmatched 2 too many must
 fail new=ls, new=llt and reconstruction, which compare that route with
 routes that do not use it, and leave charge=gamma, which reads the
-tables, passing.
+tables, passing.  Every suite of one run reads one crystal per shape, so
+under run_verify("all") a planted s_i image fails conjugator-choice and
+the gamma families exactly as it does under their own suites.
 """
 
 from itertools import permutations
@@ -25,16 +27,7 @@ from crystalcharge import charge_kostka, verify
 from crystalcharge.affine_graph import STAGE_INFINITY, AffineCoroot, IntervalGraph, apply_affine_reflection
 from crystalcharge.crystal import Crystal, conjugating_permutation, normalize_shape
 from crystalcharge.root_data import format_weight, positive_roots, reduced_word
-from crystalcharge.verify import (
-    VerifyFailure,
-    VerifyReport,
-    check_arrows,
-    check_atoms,
-    check_hecke,
-    check_oracles,
-    check_strings,
-    sweep_shapes,
-)
+from crystalcharge.verify import VerifyFailure, run_verify, sweep_shapes
 
 MAX_ELEMENTS = 2_000_000
 SHAPE = (2, 1, 0, 0)
@@ -89,12 +82,14 @@ def conjugator_choice_case_by_case(c):
     return bad
 
 
-@pytest.mark.parametrize("x, image, gamma_check", [(0, 1, "charge=gamma"), (2, 8, "gamma-divisible")])
+# (x, s_1 image planted at x, the gamma family it fails)
+SI_PLANTS = [(0, 1, "charge=gamma"), (2, 8, "gamma-divisible")]
+
+
+@pytest.mark.parametrize("x, image, gamma_check", SI_PLANTS)
 def test_corrupted_reflection_fails_conjugator_choice_and_gamma(monkeypatch, x, image, gamma_check):
     corrupt_table(monkeypatch, "_si", 1, x, image)
-    strings, oracles = VerifyReport("strings"), VerifyReport("oracles")
-    check_strings(strings, 3, sum(SHAPE), MAX_ELEMENTS)
-    check_oracles(oracles, 3, sum(SHAPE), MAX_ELEMENTS)
+    strings, oracles = run_verify("strings", 3, sum(SHAPE)), run_verify("oracles", 3, sum(SHAPE))
 
     bad = conjugator_choice_case_by_case(Crystal.generate(SHAPE, 3))
     assert bad > 0
@@ -104,14 +99,25 @@ def test_corrupted_reflection_fails_conjugator_choice_and_gamma(monkeypatch, x, 
     assert gamma_check in {f.check for f in oracles.failures}
 
 
+@pytest.mark.parametrize("x, image, gamma_check", SI_PLANTS)
+def test_corrupted_reflection_reaches_every_suite_of_one_run(monkeypatch, x, image, gamma_check):
+    corrupt_table(monkeypatch, "_si", 1, x, image)
+
+    def failed(suite):
+        families = {"conjugator-choice", "gamma-divisible", "charge=gamma"}
+        return {f for f in run_verify(suite, 3, sum(SHAPE)).failures if f.check in families}
+
+    shared = failed("all")
+    assert {"conjugator-choice", gamma_check} <= {f.check for f in shared}
+    assert shared == failed("strings") | failed("oracles")
+
+
 @pytest.mark.parametrize("x", [0, 3, 7])
 def test_raised_eps_fails_constant_z_and_string_sums(monkeypatch, x):
     """A raised eps_1 moves phi_1 with it, so the pairing family cannot see it; these two families must."""
     eps = Crystal.generate(SHAPE, 3).eps(1, x)
     corrupt_table(monkeypatch, "_eps", 1, x, eps + 1)
-    atoms, strings = VerifyReport("atoms"), VerifyReport("strings")
-    check_atoms(atoms, 3, sum(SHAPE), MAX_ELEMENTS)
-    check_strings(strings, 3, sum(SHAPE), MAX_ELEMENTS)
+    atoms, strings = run_verify("atoms", 3, sum(SHAPE)), run_verify("strings", 3, sum(SHAPE))
     assert "constant-z" in {f.check for f in atoms.failures}
     assert "string-sums" in {f.check for f in strings.failures}
 
@@ -141,11 +147,9 @@ def corrupt_first_reversible_label(monkeypatch):
 
 def test_corrupted_label_fails_edge_labels_in_every_view_holding_it(monkeypatch):
     rank, max_weight = 2, 4
-    clean = VerifyReport("arrows")
-    check_arrows(clean, rank, max_weight, MAX_ELEMENTS)
+    clean = run_verify("arrows", rank, max_weight)
     corrupted = corrupt_first_reversible_label(monkeypatch)
-    report = VerifyReport("arrows")
-    check_arrows(report, rank, max_weight, MAX_ELEMENTS)
+    report = run_verify("arrows", rank, max_weight)
     assert report.counts["edge-labels"] == clean.counts["edge-labels"]
 
     expected = []
@@ -178,9 +182,7 @@ def test_miscounted_word_eps_fails_the_routes_compared_with_new(monkeypatch):
         return (lo, hi + hi[-1:]) if i == 1 else (lo, hi)
 
     monkeypatch.setattr(charge_kostka, "unmatched_letters", miscounted)
-    oracles, hecke = VerifyReport("oracles"), VerifyReport("hecke")
-    check_oracles(oracles, rank, max_weight, MAX_ELEMENTS)
-    check_hecke(hecke, rank, max_weight, MAX_ELEMENTS)
+    oracles, hecke = run_verify("oracles", rank, max_weight), run_verify("hecke", rank, max_weight)
     failed = {f.check for f in oracles.failures + hecke.failures}
     assert {"new=ls", "new=llt", "reconstruction"} <= failed
     assert oracles.counts["charge=gamma"] > 0
