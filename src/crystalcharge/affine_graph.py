@@ -50,11 +50,13 @@ from typing import Union
 from .root_data import (
     Root,
     Weight,
+    bruhat_below,
     bruhat_leq_dominant,
     dominant_interval,
     in_parabolic,
     is_dominant,
     length_along,
+    pairing,
     positive_roots,
 )
 
@@ -82,6 +84,10 @@ class AffineCoroot:
         if self.sign != -1 or in_parabolic(self.root, rank):
             return None
         return (self.level - 1) * rank + self.root[0]
+
+    def shift(self, mu: Weight) -> int:
+        """The k with t(mu) = mu - k*root, t this coroot's reflection: <mu,root^v> - sign * level."""
+        return pairing(mu, self.root) - self.sign * self.level
 
     def render(self) -> str:
         j, k = self.root
@@ -121,10 +127,13 @@ class TwistedGraph:
 
     def arr(self, mu: Weight) -> int:
         """Number of arrows directed to mu."""
-        mu = tuple(mu)
-        if mu not in self.indegree:
-            raise ValueError(f"{mu} is not a vertex of the graph over {self.base}")
-        return self.indegree[mu]
+        try:
+            return self.indegree[mu]
+        except (KeyError, TypeError):
+            key = tuple(mu)
+        if key not in self.indegree:
+            raise ValueError(f"{key} is not a vertex of the graph over {self.base}")
+        return self.indegree[key]
 
 
 @dataclass(frozen=True)
@@ -218,9 +227,11 @@ def _rearrangements(mu: Weight) -> list[Weight]:
 
 
 def _check_base(lam: Weight) -> None:
+    if len(lam) < 2:
+        raise ValueError(f"rank must be >= 1, got {len(lam) - 1}")
     if not is_dominant(lam):
         raise ValueError(f"{lam} is not dominant")
-    if lam and lam[-1] < 0:
+    if lam[-1] < 0:
         raise ValueError(f"{lam} has negative coordinates")
 
 
@@ -331,8 +342,7 @@ def apply_affine_reflection(a: AffineCoroot, mu: Weight) -> Weight:
     j, k = a.root
     if not 1 <= j <= k < len(mu):
         raise ValueError(f"invalid root {a.root} for rank {len(mu) - 1}")
-    p = mu[j - 1] - mu[k]
-    shift = (a.level + p) if a.sign == -1 else (p - a.level)
+    shift = a.shift(mu)
     out = list(mu)
     out[j - 1] -= shift
     out[k] += shift
@@ -348,7 +358,8 @@ def arr_infinity_formula(mu: Weight, lambda_prime: Weight) -> int:
     """
     lam = tuple(lambda_prime)
     n = len(lam) - 1
-    if not bruhat_leq_dominant(mu, lam):
+    below = bruhat_below(lam)
+    if not below(mu):
         raise ValueError(f"{mu} is not below {lam}")
     total = 0
     for beta in positive_roots(n):
@@ -360,7 +371,7 @@ def arr_infinity_formula(mu: Weight, lambda_prime: Weight) -> int:
             while True:
                 nu[j - 1] -= 1
                 nu[k] += 1
-                if not bruhat_leq_dominant(nu, lam):
+                if not below(nu):
                     break
                 total += 1
     return total

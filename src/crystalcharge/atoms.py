@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .crystal import Crystal
 from .root_data import (
     Weight,
-    bruhat_leq_dominant,
+    bruhat_below,
     is_dominant,
     positive_roots,
     rho_doubled,
@@ -127,8 +127,9 @@ def decompose(crystal: Crystal) -> AtomDecomposition:
             raise AtomStructureError("component without a dominant weight")
         top = max(dominant_members, key=lambda x: rho_doubled(crystal.weight(x)))
         highest = crystal.weight(top)
+        below = bruhat_below(highest)
         for x in members:
-            if not bruhat_leq_dominant(crystal.weight(x), highest):
+            if not below(crystal.weight(x)):
                 raise AtomStructureError(
                     f"component weight {crystal.weight(x)} not below candidate "
                     f"highest weight {highest}"

@@ -61,7 +61,6 @@ from .root_data import (
     is_dominant,
     length,
     line_compare,
-    pairing,
     rho_doubled,
 )
 
@@ -455,7 +454,7 @@ def swapping_map(
         raise ValueError(
             f"{tmu} is not below the atom highest weight {atom.highest_weight}"
         )
-    power = pairing(mu, coroot.root) + coroot.level
+    power = coroot.shift(mu)
     image = crystal.root_op_power("e", coroot.root, x, power)
     if image is None:
         raise SwappingError(

@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import enum
 from functools import lru_cache
-from typing import Iterator, Optional
+from itertools import accumulate
+from operator import ge, le
+from typing import Callable, Iterator, Optional
 
 Weight = tuple[int, ...]
 Root = tuple[int, int]
@@ -88,7 +90,7 @@ def rho_doubled(mu: Weight) -> int:
 
 def is_dominant(mu: Weight) -> bool:
     """Whether the coordinates are weakly decreasing."""
-    return all(mu[i] >= mu[i + 1] for i in range(len(mu) - 1))
+    return all(map(ge, mu, mu[1:]))
 
 
 @lru_cache(maxsize=None)
@@ -116,26 +118,34 @@ def reduced_word(w: Permutation) -> tuple[int, ...]:
 
 
 def bruhat_leq_dominant(mu: Weight, lam: Weight) -> bool:
-    """Whether mu <= lam in the Bruhat order on weights, for dominant lam.
+    """Whether mu <= lam in the Bruhat order on weights, for dominant lam."""
+    if len(mu) != len(lam):
+        raise ValueError("weights must have equal length")
+    return bruhat_below(lam)(mu)
+
+
+def bruhat_below(lam: Weight) -> Callable[[Weight], bool]:
+    """The test "mu <= lam" in the Bruhat order, with lam checked dominant here, once.
 
     Characterized by dominance: the prefix sums of the dominant
     representative mu+ are bounded by those of lam, with equal totals.
+    The test raises ValueError for a mu of another length or coordinate sum.
     """
-    if len(mu) != len(lam):
-        raise ValueError("weights must have equal length")
     if not is_dominant(lam):
         raise ValueError(f"comparison weight {lam} is not dominant")
-    if sum(mu) != sum(lam):
-        raise ValueError(
-            f"coordinate sums differ ({sum(mu)} vs {sum(lam)}): "
-            "weights lie in different root-lattice cosets"
-        )
-    partial = 0
-    for a, b in zip(sorted(mu, reverse=True), lam):
-        partial += a - b
-        if partial > 0:
-            return False
-    return True
+    size, total, bounds = len(lam), sum(lam), tuple(accumulate(lam))
+
+    def below(mu: Weight) -> bool:
+        if len(mu) != size:
+            raise ValueError("weights must have equal length")
+        if sum(mu) != total:
+            raise ValueError(
+                f"coordinate sums differ ({sum(mu)} vs {total}): "
+                "weights lie in different root-lattice cosets"
+            )
+        return all(map(le, accumulate(sorted(mu, reverse=True)), bounds))
+
+    return below
 
 
 def partitions(total: int, max_parts: int, bound: Optional[int] = None) -> Iterator[tuple[int, ...]]:
@@ -153,12 +163,9 @@ def partitions(total: int, max_parts: int, bound: Optional[int] = None) -> Itera
 
 def dominant_interval(lam: Weight) -> tuple[Weight, ...]:
     """Dominant weights below lam, largest first."""
-    result = []
-    for shape in partitions(sum(lam), len(lam)):
-        mu = shape + (0,) * (len(lam) - len(shape))
-        if bruhat_leq_dominant(mu, lam):
-            result.append(mu)
-    return tuple(result)
+    below = bruhat_below(lam)
+    padded = (shape + (0,) * (len(lam) - len(shape)) for shape in partitions(sum(lam), len(lam)))
+    return tuple(filter(below, padded))
 
 
 def format_weight(mu: Weight) -> str:
@@ -204,12 +211,25 @@ def line_compare(mu: Weight, nu: Weight) -> LineOrder:
     """Compare two weights on a common root line in the Bruhat order.
 
     Returns LOWER when nu < mu, GREATER when mu < nu, EQUAL when they
-    coincide.  With nu = mu - k*beta, nu < mu holds exactly when
-    <mu,b^v> >= k > 0 or <mu,b^v> < k < 0.
+    coincide; line_order decides, with mu - nu = k*beta.
     """
     if mu == nu:
         return LineOrder.EQUAL
     k, beta = line_decompose(mu, nu)
+    return line_order(mu, beta, k)
+
+
+def line_order(mu: Weight, beta: Root, k: int) -> LineOrder:
+    """Compare mu with nu = mu - k*beta, on the root line of beta, in the Bruhat order.
+
+    Returns LOWER when nu < mu, GREATER when mu < nu, EQUAL when k = 0.
+    nu < mu holds exactly when <mu,b^v> >= k > 0 or <mu,b^v> < k < 0.
+
+    >>> line_order((1, 1), (1, 1), 1), line_order((2, 0), (1, 1), 1)
+    (<LineOrder.GREATER: 'greater'>, <LineOrder.LOWER: 'lower'>)
+    """
+    if k == 0:
+        return LineOrder.EQUAL
     p = pairing(mu, beta)
     if k > 0:
         return LineOrder.LOWER if p >= k else LineOrder.GREATER

@@ -33,7 +33,7 @@ from functools import cached_property
 from itertools import accumulate
 from math import factorial
 from operator import ne
-from typing import Callable, Iterator
+from typing import Callable
 
 from .affine_graph import (
     STAGE_INFINITY,
@@ -62,14 +62,13 @@ from .crystal import DEFAULT_MAX_ELEMENTS, Crystal, conjugating_permutation, con
 from .root_data import (
     LineOrder,
     Weight,
-    bruhat_leq_dominant,
     dominant_interval,
     format_weight,
     in_parabolic,
     is_dominant,
     length,
     length_along,
-    line_compare,
+    line_order,
     pairing,
     partitions,
     positive_roots,
@@ -202,11 +201,14 @@ def check_oracles(report: VerifyReport, shape: _Shape) -> None:
 # -- suite: atoms -------------------------------------------------------------
 
 
-def validate_atom(report: VerifyReport, atom: Atom, crystal: Crystal, case: str) -> None:
-    """Record the three defining properties of an atom, each as the case "<case> <check>"."""
+def validate_atom(report: VerifyReport, atom: Atom, crystal: Crystal, interval: set[Weight], case: str) -> None:
+    """Record the three defining properties of an atom, each as the case "<case> <check>".
+
+    interval holds the weights of I(h), h the atom's highest weight.
+    """
     weights = [crystal.weight(x) for x in atom.element_ids]
     repeated = len(weights) - len(set(weights))
-    interval_ok = sorted(set(weights)) == sorted(build_interval(atom.highest_weight))
+    interval_ok = set(weights) == interval
     z_values = {atomic_number(crystal, x) for x in atom.element_ids}
     for check, ok, detail in (
         ("distinct-weights", repeated == 0, f"{repeated} repeated weights"),
@@ -229,8 +231,10 @@ def check_atoms(report: VerifyReport, shape: _Shape) -> None:
         f"{len(covered)} covered",
     )
 
+    # I(h) of each atom; a weight lies below h exactly when it is in it
+    intervals = [set(build_interval(atom.highest_weight)) for atom in dec.atoms]
     for idx, atom in enumerate(dec.atoms):
-        validate_atom(report, atom, c, f"{base} atom#{idx}")
+        validate_atom(report, atom, c, intervals[idx], f"{base} atom#{idx}")
 
     dominant_parts = sorted(
         tuple(x for x in atom.element_ids if is_dominant(c.weight(x)))
@@ -246,9 +250,7 @@ def check_atoms(report: VerifyReport, shape: _Shape) -> None:
     )
 
     for mu in dominant_interval(lam):
-        holding = sum(
-            1 for atom in dec.atoms if bruhat_leq_dominant(mu, atom.highest_weight)
-        )
+        holding = sum(mu in interval for interval in intervals)
         report.record(
             "multiplicity",
             holding == len(c.elements_of_weight(mu)),
@@ -261,7 +263,7 @@ def check_atoms(report: VerifyReport, shape: _Shape) -> None:
     bad_iff = 0
     for x in range(c.size):
         atom_idx = dec.member_of[x]
-        highest = dec.atoms[atom_idx].highest_weight
+        interval = intervals[atom_idx]
         for j in range(1, rank + 1):
             beta = (j, rank)
             for direction in ("f", "e"):
@@ -279,7 +281,7 @@ def check_atoms(report: VerifyReport, shape: _Shape) -> None:
                 y = c.f(rank, y)
                 alive = y is not None
                 shifted = tuple(a - k * b for a, b in zip(mu, vec))
-                inside = bruhat_leq_dominant(shifted, highest)
+                inside = shifted in interval
                 if alive != inside:
                     bad_iff += 1
                     break
@@ -381,26 +383,26 @@ def check_strings(report: VerifyReport, shape: _Shape) -> None:
 # -- suite: arrows -------------------------------------------------------------
 
 
-def _wall_delta(coroot: AffineCoroot, mu: Weight, graph: TwistedGraph) -> int:
-    """Predicted change of arr(mu) when the edges labeled coroot reverse.
+def _wall(g: TwistedGraph, t: AffineCoroot) -> tuple[dict[Weight, int], list[tuple[Weight, Weight]]]:
+    """The wall of t in the view g, read in one pass over its vertices.
 
-    -1 when the reflection of mu is Bruhat-lower, +1 when it is higher
-    and still a vertex of the graph, 0 otherwise (also when mu is fixed).
+    Returns the predicted change of arr(mu) when the edges labeled t
+    reverse, for each vertex mu: -1 when t mu is Bruhat-lower, +1 when it
+    is higher and a vertex, 0 otherwise (also when mu is fixed); and the
+    pairs (mu, t mu), in vertex order, with mu below t mu, a vertex too.
     """
-    tmu = apply_affine_reflection(coroot, mu)
-    if tmu == mu:
-        return 0
-    if line_compare(mu, tmu) is LineOrder.LOWER:
-        return -1
-    return 1 if tmu in graph.indegree else 0
-
-
-def _reflected_pairs(coroot: AffineCoroot, graph: TwistedGraph) -> Iterator[tuple[Weight, Weight]]:
-    """(mu, t mu) for each vertex mu above its reflection t mu, a vertex too."""
-    for mu in graph.vertices:
-        tmu = apply_affine_reflection(coroot, mu)
-        if tmu != mu and tmu in graph.indegree and line_compare(mu, tmu) is LineOrder.GREATER:
-            yield mu, tmu
+    change: dict[Weight, int] = {}
+    pairs = []
+    for mu in g.vertices:
+        order = line_order(mu, t.root, t.shift(mu))
+        delta = -1 if order is LineOrder.LOWER else 0
+        if order is LineOrder.GREATER:
+            tmu = apply_affine_reflection(t, mu)
+            if tmu in g.indegree:
+                delta = 1
+                pairs.append((mu, tmu))
+        change[mu] = delta
+    return change, pairs
 
 
 def _bad_labels(interval: IntervalGraph) -> list[int]:
@@ -450,8 +452,8 @@ def check_arrows(report: VerifyReport, shape: _Shape) -> None:
 
     for m in range(stage_m):
         g, g_next = views[m], views[m + 1]
-        t = stage_reflection(m + 1, rank)
-        bad = sum(1 for mu in g.vertices if g_next.arr(mu) - g.arr(mu) != _wall_delta(t, mu, g))
+        change, _ = _wall(g, stage_reflection(m + 1, rank))
+        bad = sum(1 for mu in g.vertices if g_next.arr(mu) - g.arr(mu) != change[mu])
         report.record("update-rule", bad == 0, f"{base} update rule into stage {m + 1}", 0, bad)
 
     c, dec = shape.crystal, shape.decomposition
@@ -478,16 +480,12 @@ def check_gammam(report: VerifyReport, shape: _Shape) -> None:
     base = f"n={shape.rank} lam'={format_weight(shape.lam)}"
     # stages 0..M-1: the views at M and at infinity cross no further wall
     for m, g in enumerate(shape.views(shape.lam)[:-2]):
-        bad = 0
-        applicable = 0
-        for mu, tmu in _reflected_pairs(stage_reflection(m + 1, shape.rank), g):
-            applicable += 1
-            if g.arr(mu) != g.arr(tmu) - 1:
-                bad += 1
+        _, pairs = _wall(g, stage_reflection(m + 1, shape.rank))
+        bad = sum(1 for mu, tmu in pairs if g.arr(mu) != g.arr(tmu) - 1)
         report.record(
             "wall-difference",
             bad == 0,
-            f"{base} stage {m} in-degree difference ({applicable} pairs)",
+            f"{base} stage {m} in-degree difference ({len(pairs)} pairs)",
             0,
             bad,
         )
@@ -516,16 +514,14 @@ def check_swapping(report: VerifyReport, shape: _Shape) -> None:
             continue
 
         for m in range(len(stage_views) - 1):
-            coroot = stage_reflection(m + 1, rank)
             g, g_next = stage_views[m], stage_views[m + 1]
+            change, pairs = _wall(g, stage_reflection(m + 1, rank))
             psi_images = set()
             bad_totality = 0
             bad_weight = 0
             bad_atom = 0
             bad_drop = 0
-            applicable = 0
-            for mu, tmu in _reflected_pairs(coroot, g):
-                applicable += 1
+            for mu, tmu in pairs:
                 x = element_at.get(tmu)
                 if x is None:
                     bad_totality += 1
@@ -546,7 +542,7 @@ def check_swapping(report: VerifyReport, shape: _Shape) -> None:
                     bad_drop += 1
                 psi_images.add(y)
                 images.setdefault((m, tmu), []).append(y)
-            if applicable:
+            if pairs:
                 report.record(
                     "psi-total",
                     bad_totality == 0,
@@ -573,11 +569,10 @@ def check_swapping(report: VerifyReport, shape: _Shape) -> None:
             plus_cases = set()
             for x in atom.element_ids:
                 mu = c.weight(x)
-                expected = _wall_delta(coroot, mu, g)
-                if expected == 1:
-                    plus_cases.add(x)
-                if g_next.arr(mu) - g.arr(mu) != expected:
+                if g_next.arr(mu) - g.arr(mu) != change[mu]:
                     bad_delta += 1
+                if change[mu] == 1:
+                    plus_cases.add(x)
             report.record(
                 "three-case-delta",
                 bad_delta == 0,

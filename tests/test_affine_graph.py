@@ -94,6 +94,13 @@ def test_build_interval_rejects_non_dominant():
         build_interval((0, 2))
 
 
+@pytest.mark.parametrize("build", [build_interval, interval_size])
+def test_interval_rejects_rank_0(build):
+    for lam, rank in (((2,), 0), ((), -1)):
+        with pytest.raises(ValueError, match=f"^rank must be >= 1, got {rank}$"):
+            build(lam)
+
+
 # -- graphs at small stages -----------------------------------------------------------
 
 

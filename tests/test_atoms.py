@@ -5,6 +5,7 @@ from itertools import permutations
 import pytest
 from test_kernel_references import weyl_act
 
+from crystalcharge.affine_graph import build_interval
 from crystalcharge.atoms import (
     Atom,
     atomic_number,
@@ -137,7 +138,7 @@ def test_singleton_atom_epsilon_sum(c210, dec210):
 
 def _validate(atom, crystal):
     report = VerifyReport("atoms")
-    validate_atom(report, atom, crystal, "atom")
+    validate_atom(report, atom, crystal, set(build_interval(atom.highest_weight)), "atom")
     return report
 
 

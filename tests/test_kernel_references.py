@@ -48,6 +48,19 @@ shapes of 3,000-3,500 elements at rank 5 with the most such elements,
 where kostka(lam, mu, "new") must also equal the sum of q^charge over the
 weight-mu elements.
 
+bruhat_below checks lam once and returns the test "mu <= lam", which
+bruhat_leq_dominant, dominant_interval and the loops over one lam call;
+it must match the reference, and bruhat_leq_dominant's error texts, on
+the same weights.  line_order compares mu with mu - k*beta on a known
+line; line_compare must give the same order on every weight of the
+cases, every positive root and every k from -4 to 4.  is_dominant maps
+>= over neighbours; the reference indexes them, on tuples and lists of
+length 0-4.  verify's _wall visits each vertex of a stage view once for
+the wall of a reflection; the references are the per-vertex
+wall_delta and the reflected_pairs walk it replaced, compared on every
+stage view 0..M-1 of each interval of the cases with its stage
+reflection, and on each stage-0 view with every coroot that fits.
+
 The permutation helpers (perm_compose, simple_reflection,
 weyl_apply_weight, and weyl_act along the crystal's s_i) and
 is_semistandard are oracles for the other test modules; the package
@@ -55,11 +68,17 @@ itself needs none of them.
 """
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
-from crystalcharge.affine_graph import AffineCoroot, apply_affine_reflection, build_interval
+from crystalcharge.affine_graph import (
+    AffineCoroot,
+    apply_affine_reflection,
+    build_interval,
+    interval_graph,
+    stage_reflection,
+)
 from crystalcharge.atoms import atomic_number
 from crystalcharge.charge_kostka import HalfLaurentPolynomial, charge, kostka, llt_gamma_raw, word_eps_sum
 from crystalcharge.crystal import (
@@ -71,10 +90,15 @@ from crystalcharge.crystal import (
     weyl_dimension,
 )
 from crystalcharge.root_data import (
+    LineOrder,
+    bruhat_below,
     bruhat_leq_dominant,
     dominant_interval,
+    is_dominant,
     length,
+    line_compare,
     line_decompose,
+    line_order,
     pairing,
     partitions,
     positive_roots,
@@ -82,6 +106,7 @@ from crystalcharge.root_data import (
     rho_doubled,
     root_vector,
 )
+from crystalcharge.verify import _wall
 
 
 def perm_compose(v, w):
@@ -139,6 +164,32 @@ def bruhat_reference(mu, lam):
         if partial > 0:
             return False
     return True
+
+
+def is_dominant_reference(mu):
+    return all(mu[i] >= mu[i + 1] for i in range(len(mu) - 1))
+
+
+def wall_delta_reference(coroot, mu, graph):
+    """Predicted change of arr(mu) when the edges labeled coroot reverse.
+
+    -1 when the reflection of mu is Bruhat-lower, +1 when it is higher
+    and still a vertex of the graph, 0 otherwise (also when mu is fixed).
+    """
+    tmu = apply_affine_reflection(coroot, mu)
+    if tmu == mu:
+        return 0
+    if line_compare(mu, tmu) is LineOrder.LOWER:
+        return -1
+    return 1 if tmu in graph.indegree else 0
+
+
+def reflected_pairs_reference(coroot, graph):
+    """(mu, t mu) for each vertex mu below its reflection t mu, a vertex too."""
+    for mu in graph.vertices:
+        tmu = apply_affine_reflection(coroot, mu)
+        if tmu != mu and tmu in graph.indegree and line_compare(mu, tmu) is LineOrder.GREATER:
+            yield mu, tmu
 
 
 def line_decompose_reference(mu, nu):
@@ -346,6 +397,61 @@ def test_bruhat_leq_dominant_matches_reference():
             assert bruhat_leq_dominant(mu, lam)
             for top in tops:
                 assert bruhat_leq_dominant(mu, top) == bruhat_reference(mu, top)
+
+
+def test_bruhat_below_matches_reference_and_messages():
+    for rank, lam, interval in CASES:
+        for top in dominant_weights(rank, sum(lam)):
+            below = bruhat_below(top)
+            for mu in interval:
+                assert below(mu) == bruhat_reference(mu, top)
+    cases = [
+        ((1, 1, 1), (0, 1, 2)),  # lam not dominant
+        ((1, 1), (2, 1, 0)),  # unequal lengths
+        ((1, 1, 1), (2, 2, 0)),  # unequal sums
+    ]
+    for mu, lam in cases:
+        got = outcome(lambda: bruhat_below(lam)(mu))
+        assert got[0] == "error"
+        assert got == outcome(bruhat_leq_dominant, mu, lam)
+
+
+def test_line_order_matches_line_compare():
+    for rank, _, interval in CASES:
+        for mu in interval:
+            for beta in positive_roots(rank):
+                vec = root_vector(beta, rank)
+                for k in range(-4, 5):
+                    nu = tuple(a - k * b for a, b in zip(mu, vec))
+                    assert line_order(mu, beta, k) is line_compare(mu, nu), (mu, beta, k)
+
+
+def test_is_dominant_matches_reference():
+    for size in range(5):
+        for mu in product(range(-1, 3), repeat=size):
+            assert is_dominant(mu) == is_dominant(list(mu)) == is_dominant_reference(mu)
+
+
+def assert_wall_matches_references(g, t):
+    change, pairs = _wall(g, t)
+    assert change == {mu: wall_delta_reference(t, mu, g) for mu in g.vertices}
+    assert pairs == list(reflected_pairs_reference(t, g))
+    # each pair's first weight lies below its second
+    assert all(line_compare(mu, tmu) is LineOrder.GREATER for mu, tmu in pairs)
+    return len(pairs)
+
+
+def test_wall_matches_per_vertex_references():
+    walls = 0
+    for rank, lam, _ in CASES:
+        interval = interval_graph(lam)
+        for m in range(interval.stabilization_stage):
+            walls += assert_wall_matches_references(interval.at(m), stage_reflection(m + 1, rank)) > 0
+        # a root past the rank fits no vertex
+        for t in coroots(rank):
+            if t.root[1] <= rank:
+                assert_wall_matches_references(interval.at(0), t)
+    assert walls > 50
 
 
 def test_line_decompose_matches_reference():

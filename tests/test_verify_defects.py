@@ -19,6 +19,7 @@ under run_verify("all") a planted s_i image fails conjugator-choice and
 the gamma families exactly as it does under their own suites.
 """
 
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -122,10 +123,11 @@ def test_raised_eps_fails_constant_z_and_string_sums(monkeypatch, x):
     assert "string-sums" in {f.check for f in strings.failures}
 
 
-def corrupt_first_reversible_label(monkeypatch):
-    """interval_graph, as verify calls it, with its first reversible edge one level higher.
+def corrupt_first_reversible_edge(monkeypatch, corrupt):
+    """interval_graph, as verify calls it, with corrupt applied to its first reversible edge.
 
-    Returns a dict that collects the corrupted edge's (src, dst) per base.
+    corrupt maps (src, dst, label, index) to the planted edge.  Returns a
+    dict that collects the corrupted edge's (src, dst) per base.
     """
     direct = verify.interval_graph
     corrupted = {}
@@ -137,12 +139,24 @@ def corrupt_first_reversible_label(monkeypatch):
         if not reversible:
             return graph
         src, dst, label, index = edges[reversible[0]]
-        edges[reversible[0]] = (src, dst, AffineCoroot(label.level + 1, label.root, label.sign), index)
+        edges[reversible[0]] = corrupt(src, dst, label, index)
         corrupted[graph.base] = (src, dst)
         return IntervalGraph(graph.base, graph.vertices, tuple(edges))
 
     monkeypatch.setattr(verify, "interval_graph", build)
     return corrupted
+
+
+def corrupt_first_reversible_label(monkeypatch):
+    """interval_graph, as verify calls it, with its first reversible edge one level higher."""
+    return corrupt_first_reversible_edge(
+        monkeypatch, lambda src, dst, label, index: (src, dst, AffineCoroot(label.level + 1, label.root, label.sign), index)
+    )
+
+
+def delay_first_reversible_edge(monkeypatch):
+    """interval_graph, as verify calls it, with its first reversible edge turning one stage late."""
+    return corrupt_first_reversible_edge(monkeypatch, lambda src, dst, label, index: (src, dst, label, index + 1))
 
 
 def test_corrupted_label_fails_edge_labels_in_every_view_holding_it(monkeypatch):
@@ -170,6 +184,16 @@ def test_corrupted_label_fails_edge_labels_in_every_view_holding_it(monkeypatch)
                 expected.append(VerifyFailure("edge-labels", case, "0", str(bad)))
     assert holding > 0
     assert [f for f in report.failures if f.check == "edge-labels"] == expected
+
+
+def test_late_edge_fails_the_wall_checks(monkeypatch):
+    """A stage view's in-degrees turn one edge late: the update rule and the three-case delta must see it."""
+    rank, max_weight = 3, 5
+    delayed = delay_first_reversible_edge(monkeypatch)
+    arrows, swapping = run_verify("arrows", rank, max_weight), run_verify("swapping", rank, max_weight)
+    assert delayed
+    assert Counter(f.check for f in arrows.failures) == {"update-rule": 8}
+    assert Counter(f.check for f in swapping.failures) == {"three-case-delta": 8, "recharge-drop": 4}
 
 
 def test_miscounted_word_eps_fails_the_routes_compared_with_new(monkeypatch):
