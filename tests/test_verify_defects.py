@@ -9,9 +9,12 @@ raised eps_1 must fail constant-z and string-sums, which compare eps
 across elements.  edge-labels counts each view's bad edges from the
 interval's edges, reflecting each edge once per orientation; a graph
 with one corrupted label must fail that family in every view holding the
-edge, with the counts the views' own edge lists give.  kostka's "new"
-route reads eps on reading words through charge_kostka's
-unmatched_letters; a kernel that counts one unmatched 2 too many must
+edge, with the counts the views' own edge lists give.  The wall checks
+read one pass over each stage view; a graph whose first reversible edge
+turns one stage late must fail the arrows update rule and swapping's
+three-case delta and recharge drop as often as the per-vertex walk they
+replaced did.  kostka's "new" route reads eps on reading words through
+charge_kostka's unmatched_letters; a kernel that counts one unmatched 2 too many must
 fail new=ls, new=llt and reconstruction, which compare that route with
 routes that do not use it, and leave charge=gamma, which reads the
 tables, passing.  Every suite of one run reads one crystal per shape, so
