@@ -33,8 +33,6 @@ from .atoms import (
 )
 from .charge_kostka import (
     HalfLaurentPolynomial,
-    HeckeExpansion,
-    RechargeTable,
     SwappingError,
     charge,
     hecke_atomic_expansion,
@@ -61,7 +59,6 @@ from .root_data import (
     is_dominant,
     length,
     length_along,
-    line_compare,
     pairing,
     positive_roots,
     rho_doubled,

@@ -32,7 +32,6 @@ store integer coefficients keyed by doubled exponents.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from math import factorial
 from typing import Iterable, Optional, Sequence
 
@@ -44,7 +43,7 @@ from .affine_graph import (
     interval_graph,
     stage_reflection,
 )
-from .atoms import AtomDecomposition, atomic_number, decompose
+from .atoms import AtomDecomposition, atomic_number
 from .crystal import (
     DEFAULT_MAX_ELEMENTS,
     Crystal,
@@ -60,7 +59,7 @@ from .root_data import (
     bruhat_leq_dominant,
     is_dominant,
     length,
-    line_compare,
+    line_order,
     rho_doubled,
 )
 
@@ -201,14 +200,6 @@ def word_eps_sum(word: Sequence[int], rank: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class RechargeTable:
-    """Recharge values Z - Arr_stage, doubled, for every element of a crystal."""
-
-    stage: Stage
-    values: dict[int, int]
-
-
 def recharge(
     crystal: Crystal,
     decomposition: AtomDecomposition,
@@ -235,8 +226,8 @@ def recharge_table(
     crystal: Crystal,
     decomposition: AtomDecomposition,
     stage: Stage,
-) -> RechargeTable:
-    """Recharge values for all elements.
+) -> tuple[int, ...]:
+    """The doubled recharge values of all elements, indexed by id.
 
     One interval graph over the crystal's highest weight is built; the
     stage graph of each atom is a view of its restriction to the atom's
@@ -244,13 +235,13 @@ def recharge_table(
     """
     interval = interval_graph(crystal.shape)
     views: dict[Weight, TwistedGraph] = {}
-    values = {}
+    values = []
     for x in range(crystal.size):
         highest = decomposition.atom_of(x).highest_weight
         if highest not in views:
             views[highest] = interval.restrict(highest).at(stage)
-        values[x] = recharge(crystal, decomposition, x, stage, views[highest])
-    return RechargeTable(stage, values)
+        values.append(recharge(crystal, decomposition, x, stage, views[highest]))
+    return tuple(values)
 
 
 # -- classical word charge (first oracle) ------------------------------------
@@ -445,7 +436,8 @@ def swapping_map(
     coroot = stage_reflection(m + 1, crystal.rank)
     mu = tuple(mu)
     tmu = apply_affine_reflection(coroot, mu)
-    if line_compare(mu, tmu) is not LineOrder.GREATER:
+    power = coroot.shift(mu)
+    if line_order(mu, coroot.root, power) is not LineOrder.GREATER:
         raise ValueError(f"{mu} is not strictly below its reflection {tmu}")
     if crystal.weight(x) != tmu:
         raise ValueError(f"element {x} has weight {crystal.weight(x)}, expected {tmu}")
@@ -454,7 +446,6 @@ def swapping_map(
         raise ValueError(
             f"{tmu} is not below the atom highest weight {atom.highest_weight}"
         )
-    power = coroot.shift(mu)
     image = crystal.root_op_power("e", coroot.root, x, power)
     if image is None:
         raise SwappingError(
@@ -466,39 +457,33 @@ def swapping_map(
 # -- atomic Hecke expansion ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HeckeExpansion:
-    """Coefficients a_{mu,lambda}(v) on the atomic basis, keyed by dominant mu."""
-
-    shape: Weight
-    coeffs: dict[Weight, HalfLaurentPolynomial]
-
-
 def hecke_atomic_expansion(
-    crystal: Crystal, decomposition: Optional[AtomDecomposition] = None
-) -> HeckeExpansion:
-    """Group atoms by highest weight; each adds v^(2(Z - <mu,rho^v>)), Z - <mu,rho^v> a nonnegative integer."""
-    dec = decomposition if decomposition is not None else decompose(crystal)
+    crystal: Crystal, decomposition: AtomDecomposition
+) -> dict[Weight, HalfLaurentPolynomial]:
+    """The coefficients a_{mu,lambda}(v) on the atomic basis, keyed by dominant mu in the atoms' order.
+
+    Atoms are grouped by highest weight; each adds v^(2(Z - <mu,rho^v>)), Z - <mu,rho^v> a nonnegative integer.
+    """
     coeffs: dict[Weight, HalfLaurentPolynomial] = {}
-    for atom in dec.atoms:
+    for atom in decomposition.atoms:
         doubled = atom.z_doubled - rho_doubled(atom.highest_weight)
         if doubled % 2 or doubled < 0:
             raise ArithmeticError(f"doubled atom exponent {doubled} is not even and nonnegative")
         term = HalfLaurentPolynomial({2 * doubled: 1})
         previous = coeffs.get(atom.highest_weight, HalfLaurentPolynomial.zero())
         coeffs[atom.highest_weight] = previous + term
-    return HeckeExpansion(crystal.shape, coeffs)
+    return coeffs
 
 
-def kostka_from_hecke(expansion: HeckeExpansion, nu: Weight) -> HalfLaurentPolynomial:
-    """Reconstruct K_{lambda,nu}(v^2) from the atomic expansion.
+def kostka_from_hecke(coeffs: dict[Weight, HalfLaurentPolynomial], nu: Weight) -> HalfLaurentPolynomial:
+    """Reconstruct K_{lambda,nu}(v^2) from the atomic expansion's coefficients.
 
     Uses the change of basis where each atomic generator spreads as
     v^(2<mu - nu, rho^v>) over the dominant nu below mu.
     """
     nu = tuple(nu)
     total = HalfLaurentPolynomial.zero()
-    for mu, coefficient in expansion.coeffs.items():
+    for mu, coefficient in coeffs.items():
         if bruhat_leq_dominant(nu, mu):
             height = rho_doubled(mu) - rho_doubled(nu)
             total += coefficient * HalfLaurentPolynomial({2 * height: 1})

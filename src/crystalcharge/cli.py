@@ -187,37 +187,36 @@ def _cmd_graph(args) -> tuple[str, int]:
 def _cmd_recharge(args) -> tuple[str, int]:
     crystal = _load_crystal(args)
     stage = _parse_stage(args.stage)
-    dec = decompose(crystal)
-    table = recharge_table(crystal, dec, stage)
+    values = recharge_table(crystal, decompose(crystal), stage)
     if args.format == "json":
         payload = {
             "rank": crystal.rank,
             "shape": list(crystal.shape),
             "stage": _stage_json(stage),
-            "recharge_doubled": {str(x): table.values[x] for x in range(crystal.size)},
+            "recharge_doubled": {str(x): value for x, value in enumerate(values)},
         }
         return _dumps(payload), 0
     lines = [f"# recharge shape={format_weight(crystal.shape)} stage={_stage_json(stage)}"]
-    for x in range(crystal.size):
-        lines.append(f"{x}\t{format_weight(crystal.weights[x])}\t{Fraction(table.values[x], 2)}")
+    for x, value in enumerate(values):
+        lines.append(f"{x}\t{format_weight(crystal.weights[x])}\t{Fraction(value, 2)}")
     return "\n".join(lines) + "\n", 0
 
 
 def _cmd_hecke(args) -> tuple[str, int]:
     crystal = _load_crystal(args)
-    expansion = hecke_atomic_expansion(crystal)
+    coeffs = hecke_atomic_expansion(crystal, decompose(crystal))
     if args.format == "json":
         payload = {
             "rank": crystal.rank,
             "shape": list(crystal.shape),
             "coeffs": [
                 {"mu": list(mu), "coeff": poly.to_json_dict()}
-                for mu, poly in expansion.coeffs.items()
+                for mu, poly in coeffs.items()
             ],
         }
         return _dumps(payload), 0
     lines = []
-    for mu, poly in expansion.coeffs.items():
+    for mu, poly in coeffs.items():
         lines.append(f"mu={format_weight(mu)}\ta={poly.text('v')}")
     return "\n".join(lines) + "\n", 0
 

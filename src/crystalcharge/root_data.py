@@ -33,8 +33,8 @@ Permutation = tuple[int, ...]
 class LineOrder(enum.Enum):
     """Relative position of two weights on a common root line."""
 
-    LOWER = "lower"      # second argument is Bruhat-smaller
-    GREATER = "greater"  # second argument is Bruhat-greater
+    LOWER = "lower"      # mu - k*beta is Bruhat-smaller than mu (see line_order)
+    GREATER = "greater"  # mu - k*beta is Bruhat-greater than mu
     EQUAL = "equal"
 
 
@@ -189,34 +189,6 @@ def length(mu: Weight) -> int:
     if n == 0:
         return 0
     return sum(length_along(mu, beta) for beta in positive_roots(n))
-
-
-def line_decompose(mu: Weight, nu: Weight) -> tuple[int, Root]:
-    """Write mu - nu = k * beta with beta a positive root and k a nonzero integer.
-
-    Raises ValueError when mu - nu is not a multiple of a single
-    positive root (including mu = nu).
-    """
-    support = [i for i, a, b in zip(range(len(mu)), mu, nu) if a != b]
-    if len(support) == 2:
-        a, b = support
-        k = mu[a] - nu[a]
-        if k == nu[b] - mu[b]:
-            return k, (a + 1, b)
-    diff = tuple(a - b for a, b in zip(mu, nu))
-    raise ValueError(f"difference {diff} does not lie on a root line")
-
-
-def line_compare(mu: Weight, nu: Weight) -> LineOrder:
-    """Compare two weights on a common root line in the Bruhat order.
-
-    Returns LOWER when nu < mu, GREATER when mu < nu, EQUAL when they
-    coincide; line_order decides, with mu - nu = k*beta.
-    """
-    if mu == nu:
-        return LineOrder.EQUAL
-    k, beta = line_decompose(mu, nu)
-    return line_order(mu, beta, k)
 
 
 def line_order(mu: Weight, beta: Root, k: int) -> LineOrder:

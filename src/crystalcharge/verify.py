@@ -33,7 +33,7 @@ from functools import cached_property
 from itertools import accumulate
 from math import factorial
 from operator import ne
-from typing import Callable
+from typing import Callable, Iterator
 
 from .affine_graph import (
     STAGE_INFINITY,
@@ -100,6 +100,10 @@ class VerifyReport:
         if not ok:
             self.failures.append(VerifyFailure(check, case, str(expected), str(actual)))
 
+    def tally(self, check: str, case: str, bad: int) -> None:
+        """Record one case that counts its bad instances: it passes when there are none."""
+        self.record(check, bad == 0, case, 0, bad)
+
     @property
     def cases(self) -> int:
         return sum(self.counts.values())
@@ -121,11 +125,13 @@ def sweep_shapes(rank: int, max_weight: int) -> tuple[tuple[int, ...], ...]:
 class _Shape:
     """One sweep shape, as every suite reads it: the crystal and its decomposition are built on first read.
 
-    `cache` holds the stage views of each I(h) and is shared by the shapes of one run.
+    `case` is the prefix of the shape's case texts.  `cache` holds the
+    stage views of each I(h) and is shared by the shapes of one run.
     """
 
     def __init__(self, lam: Weight, rank: int, max_elements: int, cache: dict[Weight, list[TwistedGraph]]):
         self.lam, self.rank, self.max_elements, self.cache = lam, rank, max_elements, cache
+        self.case = f"n={rank} lam={format_weight(lam)}"
 
     @cached_property
     def crystal(self) -> Crystal:
@@ -147,6 +153,17 @@ class _Shape:
             self.cache[h] = stages + [interval.at(STAGE_INFINITY)]
         return self.cache[h]
 
+    def walls(
+        self, h: Weight
+    ) -> Iterator[tuple[TwistedGraph, TwistedGraph, dict[Weight, int], list[tuple[Weight, Weight]]]]:
+        """For each stage m < M of I(h): the views at m and m+1, then _wall's reading of the wall between them.
+
+        M is the stabilization stage; walls are read afresh on each call, not kept.
+        """
+        views = self.views(h)
+        for m in range(views[-1].interval.stabilization_stage):
+            yield (views[m], views[m + 1], *_wall(views[m], stage_reflection(m + 1, self.rank)))
+
 
 # -- suite: oracles -----------------------------------------------------------
 
@@ -162,7 +179,7 @@ def check_oracles(report: VerifyReport, shape: _Shape) -> None:
         gammas.append(None if remainder else quotient)
 
     for mu in dominant_interval(lam):
-        base = f"n={rank} lam={format_weight(lam)} mu={format_weight(mu)}"
+        base = f"{shape.case} mu={format_weight(mu)}"
         elements = c.elements_of_weight(mu)
         tableaux = [c.elements[x] for x in elements]
         k_new = kostka_of_tableaux(tableaux, mu, "new")
@@ -179,23 +196,13 @@ def check_oracles(report: VerifyReport, shape: _Shape) -> None:
         if mu == lam:
             report.record("K(lam,lam)=1", k_new == one, f"{base} K(lam,lam)=1", "1", k_new.text())
 
-    base = f"n={rank} lam={format_weight(lam)}"
-    bad_divisible = gammas.count(None)
-    bad_coincide = sum(
+    report.tally("gamma-divisible", f"{shape.case} gamma sums divisible by (n+1)!", gammas.count(None))
+    bad = sum(
         1
         for x, gamma in enumerate(gammas)
         if gamma is not None and is_dominant(c.weight(x)) and charge(c, x) != 2 * gamma
     )
-    report.record(
-        "gamma-divisible", bad_divisible == 0, f"{base} gamma sums divisible by (n+1)!", 0, bad_divisible
-    )
-    report.record(
-        "charge=gamma",
-        bad_coincide == 0,
-        f"{base} charge equals gamma on dominant elements",
-        0,
-        bad_coincide,
-    )
+    report.tally("charge=gamma", f"{shape.case} charge equals gamma on dominant elements", bad)
 
 
 # -- suite: atoms -------------------------------------------------------------
@@ -219,8 +226,7 @@ def validate_atom(report: VerifyReport, atom: Atom, crystal: Crystal, interval: 
 
 
 def check_atoms(report: VerifyReport, shape: _Shape) -> None:
-    lam, rank, c, dec = shape.lam, shape.rank, shape.crystal, shape.decomposition
-    base = f"n={rank} lam={format_weight(lam)}"
+    lam, rank, c, dec, base = shape.lam, shape.rank, shape.crystal, shape.decomposition, shape.case
 
     covered = sorted(x for atom in dec.atoms for x in atom.element_ids)
     report.record(
@@ -288,12 +294,8 @@ def check_atoms(report: VerifyReport, shape: _Shape) -> None:
                 if not alive:
                     break
                 k += 1
-    report.record(
-        "closure", bad_closure == 0, f"{base} last-column operators preserve atoms", 0, bad_closure
-    )
-    report.record(
-        "lowering-depth", bad_iff == 0, f"{base} lowering power matches interval depth", 0, bad_iff
-    )
+    report.tally("closure", f"{base} last-column operators preserve atoms", bad_closure)
+    report.tally("lowering-depth", f"{base} lowering power matches interval depth", bad_iff)
 
 
 # -- suite: strings ------------------------------------------------------------
@@ -316,8 +318,7 @@ def _weyl_tables(c: Crystal) -> Callable[[tuple[int, ...]], list[int]]:
 
 
 def check_strings(report: VerifyReport, shape: _Shape) -> None:
-    rank, c = shape.rank, shape.crystal
-    base = f"n={rank} lam={format_weight(shape.lam)}"
+    rank, c, base = shape.rank, shape.crystal, shape.case
     roots = positive_roots(rank)
 
     # phi_k - eps_k is the pairing at w^{-1} x by definition, so this checks that s_i moves weights
@@ -327,7 +328,7 @@ def check_strings(report: VerifyReport, shape: _Shape) -> None:
             stats = c.root_string_stats(beta, x)
             if stats.phi - stats.eps != pairing(c.weight(x), beta):
                 bad += 1
-    report.record("pairing", bad == 0, f"{base} phi-eps pairing identity", 0, bad)
+    report.tally("pairing", f"{base} phi-eps pairing identity", bad)
 
     bad = 0
     for i in range(1, rank):
@@ -338,7 +339,7 @@ def check_strings(report: VerifyReport, shape: _Shape) -> None:
                 continue
             if c.eps(i, x) + c.phi(i + 1, x) != c.eps(i, y) + c.phi(i + 1, y):
                 bad += 1
-    report.record("string-sums", bad == 0, f"{base} eps_i + phi_(i+1) constant on strings", 0, bad)
+    report.tally("string-sums", f"{base} eps_i + phi_(i+1) constant on strings", bad)
 
     if rank >= 3:
         bad = 0
@@ -356,7 +357,7 @@ def check_strings(report: VerifyReport, shape: _Shape) -> None:
                 for direction, op in last.items():
                     got = [None if y is None else u_table[y] for y in map(op.__getitem__, u_inverse)]
                     bad += sum(map(ne, got, expected[direction]))
-        report.record("conjugator-choice", bad == 0, f"{base} conjugator choice independence", 0, bad)
+        report.tally("conjugator-choice", f"{base} conjugator choice independence", bad)
 
     bad = 0
     for x in range(c.size):
@@ -377,7 +378,7 @@ def check_strings(report: VerifyReport, shape: _Shape) -> None:
                     direct = c.tilde_op("f", gamma, x)
                     if direct is None or via_ab != direct or via_ba != direct:
                         bad += 1
-    report.record("commutation", bad == 0, f"{base} sum-root commutation on dominant elements", 0, bad)
+    report.tally("commutation", f"{base} sum-root commutation on dominant elements", bad)
 
 
 # -- suite: arrows -------------------------------------------------------------
@@ -430,10 +431,10 @@ def check_arrows(report: VerifyReport, shape: _Shape) -> None:
 
     g0 = views[0]
     bad = sum(1 for mu in g0.vertices if g0.arr(mu) != length(mu))
-    report.record("stage0-length", bad == 0, f"{base} stage-0 in-degree equals length", 0, bad)
+    report.tally("stage0-length", f"{base} stage-0 in-degree equals length", bad)
 
     bad = sum(1 for mu in ginf.vertices if ginf.arr(mu) != arr_infinity_formula(mu, lam))
-    report.record("infinity-closed-form", bad == 0, f"{base} infinity in-degree closed form", 0, bad)
+    report.tally("infinity-closed-form", f"{base} infinity in-degree closed form", bad)
 
     report.record(
         "stabilization",
@@ -446,18 +447,13 @@ def check_arrows(report: VerifyReport, shape: _Shape) -> None:
     bad_labels = _bad_labels(interval)
     # stage infinity turns the edges stage M turns
     for g, bad in zip(views + [ginf], bad_labels + bad_labels[-1:]):
-        report.record(
-            "edge-labels", bad == 0, f"{base} stage {g.stage} edge labels reflect head to tail", 0, bad
-        )
+        report.tally("edge-labels", f"{base} stage {g.stage} edge labels reflect head to tail", bad)
 
-    for m in range(stage_m):
-        g, g_next = views[m], views[m + 1]
-        change, _ = _wall(g, stage_reflection(m + 1, rank))
+    for g, g_next, change, _ in shape.walls(lam):
         bad = sum(1 for mu in g.vertices if g_next.arr(mu) - g.arr(mu) != change[mu])
-        report.record("update-rule", bad == 0, f"{base} update rule into stage {m + 1}", 0, bad)
+        report.tally("update-rule", f"{base} update rule into stage {g_next.stage}", bad)
 
     c, dec = shape.crystal, shape.decomposition
-    base = f"n={rank} lam={format_weight(lam)}"
     bad = 0
     for x in range(c.size):
         mu = c.weight(x)
@@ -470,7 +466,7 @@ def check_arrows(report: VerifyReport, shape: _Shape) -> None:
         )
         if ginf.arr(mu) != formula:
             bad += 1
-    report.record("per-element-infinity", bad == 0, f"{base} per-element infinity formula", 0, bad)
+    report.tally("per-element-infinity", f"{shape.case} per-element infinity formula", bad)
 
 
 # -- suite: gammam --------------------------------------------------------------
@@ -478,29 +474,19 @@ def check_arrows(report: VerifyReport, shape: _Shape) -> None:
 
 def check_gammam(report: VerifyReport, shape: _Shape) -> None:
     base = f"n={shape.rank} lam'={format_weight(shape.lam)}"
-    # stages 0..M-1: the views at M and at infinity cross no further wall
-    for m, g in enumerate(shape.views(shape.lam)[:-2]):
-        _, pairs = _wall(g, stage_reflection(m + 1, shape.rank))
+    for g, _, _, pairs in shape.walls(shape.lam):
         bad = sum(1 for mu, tmu in pairs if g.arr(mu) != g.arr(tmu) - 1)
-        report.record(
-            "wall-difference",
-            bad == 0,
-            f"{base} stage {m} in-degree difference ({len(pairs)} pairs)",
-            0,
-            bad,
-        )
+        report.tally("wall-difference", f"{base} stage {g.stage} in-degree difference ({len(pairs)} pairs)", bad)
 
 
 # -- suite: swapping -------------------------------------------------------------
 
 
 def check_swapping(report: VerifyReport, shape: _Shape) -> None:
-    rank, c, dec = shape.rank, shape.crystal, shape.decomposition
-    base = f"n={rank} lam={format_weight(shape.lam)}"
+    c, dec, base = shape.crystal, shape.decomposition, shape.case
     images: dict[tuple[int, Weight], list[int]] = {}
 
     for atom_idx, atom in enumerate(dec.atoms):
-        stage_views = shape.views(atom.highest_weight)[:-1]
         element_at: dict[Weight, int] = {}
         duplicate = False
         for x in atom.element_ids:
@@ -513,9 +499,8 @@ def check_swapping(report: VerifyReport, shape: _Shape) -> None:
             )
             continue
 
-        for m in range(len(stage_views) - 1):
-            g, g_next = stage_views[m], stage_views[m + 1]
-            change, pairs = _wall(g, stage_reflection(m + 1, rank))
+        for g, g_next, change, pairs in shape.walls(atom.highest_weight):
+            m = g.stage
             psi_images = set()
             bad_totality = 0
             bad_weight = 0
@@ -542,28 +527,11 @@ def check_swapping(report: VerifyReport, shape: _Shape) -> None:
                     bad_drop += 1
                 psi_images.add(y)
                 images.setdefault((m, tmu), []).append(y)
+            case = f"{base} atom#{atom_idx} stage {m}"
             if pairs:
-                report.record(
-                    "psi-total",
-                    bad_totality == 0,
-                    f"{base} atom#{atom_idx} stage {m} psi total",
-                    0,
-                    bad_totality,
-                )
-                report.record(
-                    "psi-target",
-                    bad_weight + bad_atom == 0,
-                    f"{base} atom#{atom_idx} stage {m} psi lands at mu inside the atom",
-                    0,
-                    bad_weight + bad_atom,
-                )
-                report.record(
-                    "recharge-drop",
-                    bad_drop == 0,
-                    f"{base} atom#{atom_idx} stage {m} recharge drops by one",
-                    0,
-                    bad_drop,
-                )
+                report.tally("psi-total", f"{case} psi total", bad_totality)
+                report.tally("psi-target", f"{case} psi lands at mu inside the atom", bad_weight + bad_atom)
+                report.tally("recharge-drop", f"{case} recharge drops by one", bad_drop)
 
             bad_delta = 0
             plus_cases = set()
@@ -573,17 +541,11 @@ def check_swapping(report: VerifyReport, shape: _Shape) -> None:
                     bad_delta += 1
                 if change[mu] == 1:
                     plus_cases.add(x)
-            report.record(
-                "three-case-delta",
-                bad_delta == 0,
-                f"{base} atom#{atom_idx} stage {m} three-case delta",
-                0,
-                bad_delta,
-            )
+            report.tally("three-case-delta", f"{case} three-case delta", bad_delta)
             report.record(
                 "psi-images",
                 plus_cases == psi_images,
-                f"{base} atom#{atom_idx} stage {m} +1 cases are the psi images",
+                f"{case} +1 cases are the psi images",
                 sorted(plus_cases),
                 sorted(psi_images),
             )
@@ -602,21 +564,16 @@ def check_swapping(report: VerifyReport, shape: _Shape) -> None:
 
 
 def check_hecke(report: VerifyReport, shape: _Shape) -> None:
-    lam, c = shape.lam, shape.crystal
-    one = HalfLaurentPolynomial.one()
-    base = f"n={shape.rank} lam={format_weight(lam)}"
-    expansion = hecke_atomic_expansion(c, shape.decomposition)
+    lam, c, base = shape.lam, shape.crystal, shape.case
+    coeffs = hecke_atomic_expansion(c, shape.decomposition)
+    leading = coeffs.get(lam, HalfLaurentPolynomial.zero())
     report.record(
-        "leading-coefficient",
-        expansion.coeffs.get(lam) == one,
-        f"{base} leading coefficient",
-        "1",
-        (expansion.coeffs.get(lam) or HalfLaurentPolynomial.zero()).text("v"),
+        "leading-coefficient", leading == HalfLaurentPolynomial.one(), f"{base} leading coefficient", "1", leading.text("v")
     )
-    bad = sum(0 if poly.coefficients_nonnegative() else 1 for poly in expansion.coeffs.values())
-    report.record("nonnegative", bad == 0, f"{base} coefficients nonnegative", 0, bad)
+    bad = sum(0 if poly.coefficients_nonnegative() else 1 for poly in coeffs.values())
+    report.tally("nonnegative", f"{base} coefficients nonnegative", bad)
     for nu in dominant_interval(lam):
-        lhs = kostka_from_hecke(expansion, nu)
+        lhs = kostka_from_hecke(coeffs, nu)
         tableaux = [c.elements[x] for x in c.elements_of_weight(nu)]
         rhs = kostka_of_tableaux(tableaux, nu, "new").scale_exponents(2)
         report.record(

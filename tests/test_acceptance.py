@@ -124,8 +124,8 @@ def test_criterion_10_hecke_reconstruction(suites, capsys):
     assert lam210.evaluate_at_one() == 2
     from crystalcharge.charge_kostka import hecke_atomic_expansion, HalfLaurentPolynomial
 
-    expansion = hecke_atomic_expansion(Crystal.generate((2, 1, 0), 2))
-    assert expansion.coeffs == {
+    c = Crystal.generate((2, 1, 0), 2)
+    assert hecke_atomic_expansion(c, decompose(c)) == {
         (2, 1, 0): HalfLaurentPolynomial.one(),
         (1, 1, 1): HalfLaurentPolynomial({4: 1}),
     }
@@ -191,6 +191,31 @@ def test_every_check_family_belongs_to_one_criterion(suites):
 def test_suite_sizes_at_rank_2_weight_3(suite, cases):
     report = run_verify(suite, 2, 3)
     assert (report.cases, report.failures) == (cases, [])
+
+
+def test_family_counts_at_rank_3_weight_7():
+    """The benchmark's sweep point, family by family, so a case that moves between families shows."""
+    report = run_verify("all", 3, 7)
+    assert report.failures == []
+    assert report.counts == {
+        # oracles
+        "new=ls": 153, "new=llt": 153, "q=1": 153, "K(lam,lam)=1": 38, "gamma-divisible": 38, "charge=gamma": 38,
+        # atoms
+        "partition": 38, "distinct-weights": 83, "lower-interval": 83, "constant-z": 83, "tilde-components": 38,
+        "multiplicity": 153, "closure": 38, "lowering-depth": 38,
+        # gammam
+        "wall-difference": 228,
+        # arrows
+        "stage0-length": 38, "infinity-closed-form": 38, "stabilization": 38, "edge-labels": 304, "update-rule": 228,
+        "per-element-infinity": 38,
+        # swapping
+        "psi-total": 354, "psi-target": 354, "recharge-drop": 354, "three-case-delta": 354, "psi-images": 354,
+        "psi-injective": 1788,
+        # strings
+        "pairing": 38, "string-sums": 38, "conjugator-choice": 38, "commutation": 38,
+        # hecke
+        "leading-coefficient": 38, "nonnegative": 38, "reconstruction": 153,
+    }
 
 
 @pytest.mark.parametrize(

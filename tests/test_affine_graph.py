@@ -1,7 +1,7 @@
 """Tests for weight intervals and twisted Bruhat graphs."""
 
 import pytest
-from test_kernel_references import weyl_apply_weight
+from test_kernel_references import line_compare, line_decompose, weyl_apply_weight
 
 from crystalcharge import affine_graph, charge_kostka, verify
 from crystalcharge.affine_graph import (
@@ -21,7 +21,6 @@ from crystalcharge.root_data import (
     bruhat_leq_dominant,
     dominant_interval,
     length,
-    line_compare,
     partitions,
 )
 from crystalcharge.verify import run_verify, sweep_shapes
@@ -151,8 +150,6 @@ def test_each_line_pair_is_one_edge():
         assert pair not in seen
         seen.add(pair)
     # every collinear pair of interval weights appears
-    from crystalcharge.root_data import line_decompose
-
     vertices = list(g.vertices)
     expected = 0
     for a in range(len(vertices)):

@@ -1,11 +1,13 @@
 """The weight-lattice kernels against the vector formulas they replaced.
 
-apply_affine_reflection, bruhat_leq_dominant and line_decompose work on
-two coordinates or on a sorted copy in place.  The references below are
-their earlier forms, through root_vector, sorted(mu, reverse=True) and a
-full difference vector; they are compared on every weight below each
-dominant weight of size <= 6 at ranks 1-3 (line_decompose on every pair
-of them, sizes mixed), errors and messages included.
+apply_affine_reflection and bruhat_leq_dominant work on two coordinates
+or on a sorted copy in place.  The references below are their earlier
+forms, through root_vector and sorted(mu, reverse=True); they are
+compared on every weight below each dominant weight of size <= 6 at
+ranks 1-3, errors and messages included.  line_decompose, which the
+package used until its one order test became line_order, works on two
+coordinates too; it is checked against a full difference vector on
+every pair of those weights, sizes mixed.
 
 The crystal's eps_i table comes from the signature rule, and phi_i and
 s_i follow from eps_i and the weight (phi_i - eps_i = wt_i - wt_{i+1});
@@ -52,8 +54,9 @@ bruhat_below checks lam once and returns the test "mu <= lam", which
 bruhat_leq_dominant, dominant_interval and the loops over one lam call;
 it must match the reference, and bruhat_leq_dominant's error texts, on
 the same weights.  line_order compares mu with mu - k*beta on a known
-line; line_compare must give the same order on every weight of the
-cases, every positive root and every k from -4 to 4.  is_dominant maps
+line; line_compare, which first finds the line of mu - nu, must give
+the same order on every weight of the cases, every positive root and
+every k from -4 to 4.  is_dominant maps
 >= over neighbours; the reference indexes them, on tuples and lists of
 length 0-4.  verify's _wall visits each vertex of a stage view once for
 the wall of a reflection; the references are the per-vertex
@@ -62,9 +65,9 @@ stage view 0..M-1 of each interval of the cases with its stage
 reflection, and on each stage-0 view with every coroot that fits.
 
 The permutation helpers (perm_compose, simple_reflection,
-weyl_apply_weight, and weyl_act along the crystal's s_i) and
-is_semistandard are oracles for the other test modules; the package
-itself needs none of them.
+weyl_apply_weight, and weyl_act along the crystal's s_i),
+is_semistandard, line_decompose and line_compare are oracles for the
+other test modules; the package itself needs none of them.
 """
 
 from fractions import Fraction
@@ -96,8 +99,6 @@ from crystalcharge.root_data import (
     dominant_interval,
     is_dominant,
     length,
-    line_compare,
-    line_decompose,
     line_order,
     pairing,
     partitions,
@@ -134,6 +135,34 @@ def weyl_act(c, w, x):
     for i in reversed(reduced_word(w)):
         x = c.si(i, x)
     return x
+
+
+def line_decompose(mu, nu):
+    """Write mu - nu = k * beta with beta a positive root and k a nonzero integer.
+
+    Raises ValueError when mu - nu is not a multiple of a single
+    positive root (including mu = nu).
+    """
+    support = [i for i, a, b in zip(range(len(mu)), mu, nu) if a != b]
+    if len(support) == 2:
+        a, b = support
+        k = mu[a] - nu[a]
+        if k == nu[b] - mu[b]:
+            return k, (a + 1, b)
+    diff = tuple(a - b for a, b in zip(mu, nu))
+    raise ValueError(f"difference {diff} does not lie on a root line")
+
+
+def line_compare(mu, nu):
+    """Compare two weights on a common root line in the Bruhat order.
+
+    Returns LOWER when nu < mu, GREATER when mu < nu, EQUAL when they
+    coincide; line_order decides, with mu - nu = k*beta.
+    """
+    if mu == nu:
+        return LineOrder.EQUAL
+    k, beta = line_decompose(mu, nu)
+    return line_order(mu, beta, k)
 
 
 def is_semistandard(rows, max_entry):

@@ -3,14 +3,13 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_kernel_references import perm_compose, simple_reflection, weyl_apply_weight
+from test_kernel_references import line_compare, perm_compose, simple_reflection, weyl_apply_weight
 
 from crystalcharge.root_data import (
     LineOrder,
     bruhat_leq_dominant,
     length,
     length_along,
-    line_compare,
     pairing,
     partitions,
     positive_roots,
