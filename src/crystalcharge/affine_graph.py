@@ -23,18 +23,20 @@ with sign +1 or with finite part inside the a_1..a_{n-1} subsystem are
 never reversed.
 
 All stages share the interval's vertices and edges, so
-`interval_graph(lam')` builds them once, each edge with the
-reversal index of its label.  `.at(m)` gives the stage-m graph as a view
-that copies no edge: its in-degrees are the stage-0 ones corrected by the
-edges of index <= m, and its edge list is oriented only when read.
+`interval_graph(lam')` builds them once, numbers the vertices in
+lexicographic order and keeps each edge as (src id, dst id, label,
+reversal index).  `.at(m)` gives the stage-m graph as a view that
+copies no edge: its in-degrees are a list by id, the stage-0 list
+corrected by the edges of index <= m, and its edges are given in
+weights, oriented only when read.
 
 An edge's label and orientation depend on its endpoints alone, never on
 lam', so for every dominant h below lam' the graph over I(h) is the
 induced subgraph of the graph over I(lam').  One interval graph serves a
-whole family of intervals: `.restrict(h)` keeps the vertices whose
-dominant representative lies below h and the edges whose stage-0 head
-does, in their order.  The direct `interval_graph(h)` stays the oracle
-for the restriction.
+whole family of intervals: `.restrict(h)` keeps the ids, masks those
+whose dominant representative lies below h, and keeps the edges whose
+stage-0 head is masked, in order.  The direct `interval_graph(h)`
+stays the oracle for the restriction.
 """
 
 from __future__ import annotations
@@ -106,63 +108,66 @@ class AffineCoroot:
 class TwistedGraph:
     """The stage-m twisted Bruhat graph on I(base); immutable.
 
-    A view of `interval`: the in-degrees are its own, and the edge list is
-    oriented from the interval's edges on each read.
+    A view of `interval`, whose vertices it shares: its own are the
+    in-degrees, a list indexed by vertex id (0 outside the interval's
+    mask).  The edge list is given in weights, oriented on each read.
     """
 
     base: Weight
     stage: Stage
     vertices: tuple[Weight, ...]
-    indegree: dict[Weight, int] = field(repr=False)
+    indegree: list[int] = field(repr=False)
     interval: IntervalGraph = field(repr=False, compare=False)
 
     @property
     def edges(self) -> tuple[tuple[Weight, Weight, AffineCoroot], ...]:
         """Every edge as (src, dst, label), in the interval's edge order."""
-        stage = self.stage
+        w, stage = self.interval.weights, self.stage
         return tuple(
-            (dst, src, label) if index is not None and index <= stage else (src, dst, label)
+            (w[dst], w[src], label) if index is not None and index <= stage else (w[src], w[dst], label)
             for src, dst, label, index in self.interval.edges
         )
 
     def arr(self, mu: Weight) -> int:
         """Number of arrows directed to mu."""
-        try:
-            return self.indegree[mu]
-        except (KeyError, TypeError):
-            key = tuple(mu)
-        if key not in self.indegree:
+        key = mu if type(mu) is tuple else tuple(mu)
+        i = self.interval.ids.get(key)
+        if i is None or not self.interval.mask[i]:
             raise ValueError(f"{key} is not a vertex of the graph over {self.base}")
-        return self.indegree[key]
+        return self.indegree[i]
 
 
 @dataclass(frozen=True)
 class IntervalGraph:
-    """I(base) with its stage-0 edges; every stage graph is a view of it.
+    """I(base) with its stage-0 edges, on vertex ids; every stage graph is a view of it.
 
-    Each edge (src, dst, label, index) is oriented as at stage 0 and
-    carries the reversal index of its label, or None when the edge is
-    never reversed.  The remaining fields are derived from the edges:
-    the stage-0 in-degrees, the reversible edges as (index, src, dst)
-    sorted by index, and the largest index, which is the stabilization
-    stage.
+    `weights` numbers the vertices of the graph that was built, `ids`
+    maps them back, and a restriction shares both and marks its own ids
+    in `mask`.  Each edge (src, dst, label, index) joins two ids, is
+    oriented as at stage 0 and carries the reversal index of its label,
+    or None when the edge is never reversed.  Derived: the vertices in
+    the mask, the stage-0 in-degree of each id, the reversible edges
+    sorted by index, and the largest index, the stabilization stage.
     """
 
     base: Weight
-    vertices: tuple[Weight, ...]
-    edges: tuple[tuple[Weight, Weight, AffineCoroot, int | None], ...]
+    weights: tuple[Weight, ...] = field(repr=False)
+    ids: dict[Weight, int] = field(repr=False, compare=False)
+    edges: tuple[tuple[int, int, AffineCoroot, int | None], ...]
+    mask: list[bool] = field(repr=False)
+    vertices: tuple[Weight, ...] = field(init=False, repr=False, compare=False)
     stabilization_stage: int = field(init=False)
-    indegree: dict[Weight, int] = field(init=False, repr=False, compare=False)
-    flips: tuple[tuple[int, Weight, Weight], ...] = field(init=False, repr=False, compare=False)
+    indegree: list[int] = field(init=False, repr=False, compare=False)
+    flips: tuple[tuple[int, int, AffineCoroot, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        indegree = dict.fromkeys(self.vertices, 0)
-        indegree.update(Counter(map(itemgetter(1), self.edges)))
-        flips = sorted(
-            ((index, src, dst) for src, dst, _, index in self.edges if index is not None),
-            key=itemgetter(0),
-        )
-        object.__setattr__(self, "stabilization_stage", flips[-1][0] if flips else 0)
+        indegree = [0] * len(self.weights)
+        for _, dst, _, _ in self.edges:
+            indegree[dst] += 1
+        # a reversal index is never 0, so the reversible edges are those with a true index
+        flips = sorted(compress(self.edges, map(itemgetter(3), self.edges)), key=itemgetter(3))
+        object.__setattr__(self, "vertices", tuple(compress(self.weights, self.mask)))
+        object.__setattr__(self, "stabilization_stage", flips[-1][3] if flips else 0)
         object.__setattr__(self, "indegree", indegree)
         object.__setattr__(self, "flips", tuple(flips))
 
@@ -170,8 +175,8 @@ class IntervalGraph:
         """The stage graph: edges with reversal index <= stage point the other way."""
         if stage != STAGE_INFINITY and (type(stage) is not int or stage < 0):
             raise ValueError(f"stage must be a nonnegative integer or infinity, got {stage!r}")
-        indegree = dict(self.indegree)
-        for index, src, dst in self.flips:
+        indegree = list(self.indegree)
+        for src, dst, _, index in self.flips:
             if index > stage:
                 break
             indegree[src] += 1
@@ -179,8 +184,9 @@ class IntervalGraph:
         return TwistedGraph(self.base, stage, self.vertices, indegree, self)
 
     def restrict(self, below: Weight) -> IntervalGraph:
-        """The graph over I(below), for a dominant weight below the base.
+        """The graph over I(below), for a dominant weight below the base, on the same ids.
 
+        The mask holds the ids whose dominant representative lies below.
         The tail of a stage-0 edge lies below its head, so the edges of
         I(below) are exactly those whose stage-0 head lies in it.
         """
@@ -189,19 +195,18 @@ class IntervalGraph:
             return self
         if not is_dominant(h) or not bruhat_leq_dominant(h, self.base):
             raise ValueError(f"{h} is not a dominant weight below {self.base}")
-        inside = set(dominant_interval(h)).__contains__
-        vertex_orbits, head_orbits = self._orbits
-        return IntervalGraph(
-            h,
-            tuple(compress(self.vertices, map(inside, vertex_orbits))),
-            tuple(compress(self.edges, map(inside, head_orbits))),
-        )
+        dominants, orbit_of = self._orbits
+        inside = set(dominant_interval(h))
+        mask = list(map([d in inside for d in dominants].__getitem__, orbit_of))
+        edges = tuple([edge for edge in self.edges if mask[edge[1]]])
+        return IntervalGraph(h, self.weights, self.ids, edges, mask)
 
     @cached_property
-    def _orbits(self) -> tuple[tuple[Weight, ...], tuple[Weight, ...]]:
-        """The dominant representative of each vertex, and of each edge's stage-0 head."""
-        orbit = {mu: tuple(sorted(mu, reverse=True)) for mu in self.vertices}
-        return tuple(orbit.values()), tuple(orbit[dst] for _, dst, _, _ in self.edges)
+    def _orbits(self) -> tuple[tuple[Weight, ...], list[int]]:
+        """The distinct dominant representatives of the ids, and the position of each id's among them."""
+        dominants: dict[Weight, int] = {}
+        orbit_of = [dominants.setdefault(tuple(sorted(mu, reverse=True)), len(dominants)) for mu in self.weights]
+        return tuple(dominants), orbit_of
 
 
 def _rearrangements(mu: Weight) -> list[Weight]:
@@ -282,11 +287,11 @@ def interval_graph(lambda_prime: Weight) -> IntervalGraph:
     n = len(lam) - 1
     low, high = lam[-1], lam[0]
     vertices = build_interval(lam)
-    vertex_set = set(vertices)
+    ids = {mu: i for i, mu in enumerate(vertices)}
     labels: dict[tuple[int, Root, int], tuple[AffineCoroot, int | None]] = {}
     edges = []
     by_tail = [()] + [tuple(run) for _, run in groupby(positive_roots(n), itemgetter(0))]
-    for mu in vertices:
+    for i, mu in enumerate(vertices):
         tails = [j for j in range(1, n + 1) if mu[j - 1] > low]
         for beta in [b for j in tails for b in by_tail[j] if mu[b[1]] < high]:
             j, k = beta
@@ -298,20 +303,20 @@ def interval_graph(lambda_prime: Weight) -> IntervalGraph:
                 nu[k] += 1
                 if nu[j - 1] < low or nu[k] > high:
                     break
-                tnu = tuple(nu)
-                if tnu not in vertex_set:
+                other = ids.get(tuple(nu))
+                if other is None:
                     break
                 if p >= step:
-                    src, dst, key = tnu, mu, (p - step, beta, 1)
+                    src, dst, key = other, i, (p - step, beta, 1)
                 else:
-                    src, dst, key = mu, tnu, (step - p, beta, -1)
+                    src, dst, key = i, other, (step - p, beta, -1)
                 entry = labels.get(key)
                 if entry is None:
                     label = AffineCoroot(*key)
                     entry = labels[key] = (label, label.reversal_index(n))
                 edges.append((src, dst, *entry))
                 step += 1
-    return IntervalGraph(lam, vertices, tuple(edges))
+    return IntervalGraph(lam, vertices, ids, tuple(edges), [True] * len(vertices))
 
 
 def build_graph(lambda_prime: Weight, stage: Stage) -> TwistedGraph:

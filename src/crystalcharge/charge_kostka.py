@@ -457,9 +457,7 @@ def swapping_map(
 # -- atomic Hecke expansion ------------------------------------------------------
 
 
-def hecke_atomic_expansion(
-    crystal: Crystal, decomposition: AtomDecomposition
-) -> dict[Weight, HalfLaurentPolynomial]:
+def hecke_atomic_expansion(decomposition: AtomDecomposition) -> dict[Weight, HalfLaurentPolynomial]:
     """The coefficients a_{mu,lambda}(v) on the atomic basis, keyed by dominant mu in the atoms' order.
 
     Atoms are grouped by highest weight; each adds v^(2(Z - <mu,rho^v>)), Z - <mu,rho^v> a nonnegative integer.

@@ -204,7 +204,7 @@ def _cmd_recharge(args) -> tuple[str, int]:
 
 def _cmd_hecke(args) -> tuple[str, int]:
     crystal = _load_crystal(args)
-    coeffs = hecke_atomic_expansion(crystal, decompose(crystal))
+    coeffs = hecke_atomic_expansion(decompose(crystal))
     if args.format == "json":
         payload = {
             "rank": crystal.rank,

@@ -22,7 +22,8 @@ failure with its family.  Suites:
 One driver walks the sweep once: for each shape it runs every requested
 suite, in SUITES order, on one _Shape.  A suite that reads the shape's
 crystal or its decomposition builds it on first read, and the shapes
-of one run share the stage views of each interval.
+of one run share the stage views of each interval and the wall tables
+of each I((k,0,...,0)).  Views and walls are read by vertex id.
 """
 
 from __future__ import annotations
@@ -32,12 +33,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 from math import factorial
-from operator import ne
+from operator import ne, sub
 from typing import Callable, Iterator
 
 from .affine_graph import (
     STAGE_INFINITY,
-    AffineCoroot,
     IntervalGraph,
     TwistedGraph,
     apply_affine_reflection,
@@ -125,12 +125,14 @@ def sweep_shapes(rank: int, max_weight: int) -> tuple[tuple[int, ...], ...]:
 class _Shape:
     """One sweep shape, as every suite reads it: the crystal and its decomposition are built on first read.
 
-    `case` is the prefix of the shape's case texts.  `cache` holds the
-    stage views of each I(h) and is shared by the shapes of one run.
+    `case` is the prefix of the shape's case texts.  `views` holds the
+    stage views of each I(h), and `tables` the wall table of each
+    (I((k,0,...,0)), stage); the shapes of one run share both.
     """
 
-    def __init__(self, lam: Weight, rank: int, max_elements: int, cache: dict[Weight, list[TwistedGraph]]):
-        self.lam, self.rank, self.max_elements, self.cache = lam, rank, max_elements, cache
+    def __init__(self, lam: Weight, rank: int, max_elements: int, views: dict, tables: dict):
+        self.lam, self.rank, self.max_elements, self.cache, self.tables = lam, rank, max_elements, views, tables
+        self.top = (sum(lam),) + (0,) * rank
         self.case = f"n={rank} lam={format_weight(lam)}"
 
     @cached_property
@@ -147,22 +149,51 @@ class _Shape:
         I(h) is a restriction of the graph over I((k,0,...,0)), k = |h|, which is built once.
         """
         if h not in self.cache:
-            top = (sum(h),) + (0,) * self.rank
-            interval = interval_graph(h) if h == top else self.views(top)[0].interval.restrict(h)
+            interval = interval_graph(h) if h == self.top else self.views(self.top)[0].interval.restrict(h)
             stages = [interval.at(m) for m in range(interval.stabilization_stage + 1)]
             self.cache[h] = stages + [interval.at(STAGE_INFINITY)]
         return self.cache[h]
 
-    def walls(
-        self, h: Weight
-    ) -> Iterator[tuple[TwistedGraph, TwistedGraph, dict[Weight, int], list[tuple[Weight, Weight]]]]:
-        """For each stage m < M of I(h): the views at m and m+1, then _wall's reading of the wall between them.
+    def _wall_table(self, m: int) -> tuple[list[int], list[tuple[int, int]]]:
+        """The wall of t = stage_reflection(m+1) over I((k,0,...,0)), by id, built once per run.
 
-        M is the stabilization stage; walls are read afresh on each call, not kept.
+        The ids mu with t mu Bruhat-lower (line order -1), and the pairs
+        (mu, t mu) with t mu higher (+1) and in the interval; t fixes the
+        other ids or takes them out (0).  Read from line_order and the
+        reflection alone, never from the edges.
+        """
+        if (self.top, m) not in self.tables:
+            interval = self.views(self.top)[0].interval
+            t = stage_reflection(m + 1, self.rank)
+            lower, upper = [], []
+            for i, mu in enumerate(interval.weights):
+                order = line_order(mu, t.root, t.shift(mu))
+                if order is LineOrder.LOWER:
+                    lower.append(i)
+                elif order is LineOrder.GREATER and (j := interval.ids.get(apply_affine_reflection(t, mu))) is not None:
+                    upper.append((i, j))
+            self.tables[self.top, m] = lower, upper
+        return self.tables[self.top, m]
+
+    def walls(self, h: Weight) -> Iterator[tuple[TwistedGraph, TwistedGraph, list[int], list[tuple[int, int]]]]:
+        """For each stage m < M of I(h): the views at m and m+1, and the wall between them, read by id.
+
+        M is the stabilization stage.  The wall is stage m's table read
+        through I(h)'s mask: each id's predicted in-degree change when the
+        edges labeled t reverse (0 outside the mask), and the pairs
+        (mu, t mu) with mu below t mu, both in I(h).
         """
         views = self.views(h)
+        mask = views[-1].interval.mask
         for m in range(views[-1].interval.stabilization_stage):
-            yield (views[m], views[m + 1], *_wall(views[m], stage_reflection(m + 1, self.rank)))
+            lower, upper = self._wall_table(m)
+            change = [0] * len(mask)
+            for i in lower:
+                change[i] = -mask[i]
+            pairs = [(i, j) for i, j in upper if mask[i] and mask[j]]
+            for i, _ in pairs:
+                change[i] = 1
+            yield views[m], views[m + 1], change, pairs
 
 
 # -- suite: oracles -----------------------------------------------------------
@@ -384,28 +415,6 @@ def check_strings(report: VerifyReport, shape: _Shape) -> None:
 # -- suite: arrows -------------------------------------------------------------
 
 
-def _wall(g: TwistedGraph, t: AffineCoroot) -> tuple[dict[Weight, int], list[tuple[Weight, Weight]]]:
-    """The wall of t in the view g, read in one pass over its vertices.
-
-    Returns the predicted change of arr(mu) when the edges labeled t
-    reverse, for each vertex mu: -1 when t mu is Bruhat-lower, +1 when it
-    is higher and a vertex, 0 otherwise (also when mu is fixed); and the
-    pairs (mu, t mu), in vertex order, with mu below t mu, a vertex too.
-    """
-    change: dict[Weight, int] = {}
-    pairs = []
-    for mu in g.vertices:
-        order = line_order(mu, t.root, t.shift(mu))
-        delta = -1 if order is LineOrder.LOWER else 0
-        if order is LineOrder.GREATER:
-            tmu = apply_affine_reflection(t, mu)
-            if tmu in g.indegree:
-                delta = 1
-                pairs.append((mu, tmu))
-        change[mu] = delta
-    return change, pairs
-
-
 def _bad_labels(interval: IntervalGraph) -> list[int]:
     """For each stage 0..M, the edges whose label does not reflect head to tail.
 
@@ -413,12 +422,13 @@ def _bad_labels(interval: IntervalGraph) -> list[int]:
     reflected once per orientation: as at stage 0, and reversed when its
     label is ever reversed, which holds from its reversal index on.
     """
+    weights = interval.weights
     changes = [0] * (interval.stabilization_stage + 1)
     for src, dst, label, index in interval.edges:
-        bad = apply_affine_reflection(label, dst) != src
+        bad = apply_affine_reflection(label, weights[dst]) != weights[src]
         changes[0] += bad
         if index is not None:
-            changes[index] += (apply_affine_reflection(label, src) != dst) - bad
+            changes[index] += (apply_affine_reflection(label, weights[src]) != weights[dst]) - bad
     return list(accumulate(changes))
 
 
@@ -450,7 +460,7 @@ def check_arrows(report: VerifyReport, shape: _Shape) -> None:
         report.tally("edge-labels", f"{base} stage {g.stage} edge labels reflect head to tail", bad)
 
     for g, g_next, change, _ in shape.walls(lam):
-        bad = sum(1 for mu in g.vertices if g_next.arr(mu) - g.arr(mu) != change[mu])
+        bad = sum(map(ne, map(sub, g_next.indegree, g.indegree), change))
         report.tally("update-rule", f"{base} update rule into stage {g_next.stage}", bad)
 
     c, dec = shape.crystal, shape.decomposition
@@ -475,7 +485,7 @@ def check_arrows(report: VerifyReport, shape: _Shape) -> None:
 def check_gammam(report: VerifyReport, shape: _Shape) -> None:
     base = f"n={shape.rank} lam'={format_weight(shape.lam)}"
     for g, _, _, pairs in shape.walls(shape.lam):
-        bad = sum(1 for mu, tmu in pairs if g.arr(mu) != g.arr(tmu) - 1)
+        bad = sum(1 for i, j in pairs if g.indegree[i] != g.indegree[j] - 1)
         report.tally("wall-difference", f"{base} stage {g.stage} in-degree difference ({len(pairs)} pairs)", bad)
 
 
@@ -487,12 +497,14 @@ def check_swapping(report: VerifyReport, shape: _Shape) -> None:
     images: dict[tuple[int, Weight], list[int]] = {}
 
     for atom_idx, atom in enumerate(dec.atoms):
-        element_at: dict[Weight, int] = {}
+        interval = shape.views(atom.highest_weight)[0].interval
+        element_at: dict[int, int] = {}
         duplicate = False
         for x in atom.element_ids:
-            if c.weight(x) in element_at:
+            i = interval.ids[c.weight(x)]
+            if i in element_at:
                 duplicate = True
-            element_at[c.weight(x)] = x
+            element_at[i] = x
         if duplicate:
             report.record(
                 "repeated-weights", False, f"{base} atom#{atom_idx} weights repeat", "multiplicity one", "repeat"
@@ -506,8 +518,9 @@ def check_swapping(report: VerifyReport, shape: _Shape) -> None:
             bad_weight = 0
             bad_atom = 0
             bad_drop = 0
-            for mu, tmu in pairs:
-                x = element_at.get(tmu)
+            for i, j in pairs:
+                mu, tmu = interval.weights[i], interval.weights[j]
+                x = element_at.get(j)
                 if x is None:
                     bad_totality += 1
                     continue
@@ -535,11 +548,10 @@ def check_swapping(report: VerifyReport, shape: _Shape) -> None:
 
             bad_delta = 0
             plus_cases = set()
-            for x in atom.element_ids:
-                mu = c.weight(x)
-                if g_next.arr(mu) - g.arr(mu) != change[mu]:
+            for i, x in element_at.items():
+                if g_next.indegree[i] - g.indegree[i] != change[i]:
                     bad_delta += 1
-                if change[mu] == 1:
+                if change[i] == 1:
                     plus_cases.add(x)
             report.tally("three-case-delta", f"{case} three-case delta", bad_delta)
             report.record(
@@ -565,7 +577,7 @@ def check_swapping(report: VerifyReport, shape: _Shape) -> None:
 
 def check_hecke(report: VerifyReport, shape: _Shape) -> None:
     lam, c, base = shape.lam, shape.crystal, shape.case
-    coeffs = hecke_atomic_expansion(c, shape.decomposition)
+    coeffs = hecke_atomic_expansion(shape.decomposition)
     leading = coeffs.get(lam, HalfLaurentPolynomial.zero())
     report.record(
         "leading-coefficient", leading == HalfLaurentPolynomial.one(), f"{base} leading coefficient", "1", leading.text("v")
@@ -600,7 +612,7 @@ def run_verify(
     if max_weight < 0:
         raise ValueError(f"max weight must be nonnegative, got {max_weight}")
     report = VerifyReport(suite)
-    views: dict[Weight, list[TwistedGraph]] = {}
+    views, tables = {}, {}
     # Looked up per call, so a wrapper installed on a module attribute takes effect.
     checks = {
         "oracles": check_oracles,
@@ -613,7 +625,7 @@ def run_verify(
     }
     names = SUITES[:-1] if suite == "all" else (suite,)
     for lam in sweep_shapes(rank, max_weight):
-        shape = _Shape(normalize_shape(lam, rank), rank, max_elements, views)
+        shape = _Shape(normalize_shape(lam, rank), rank, max_elements, views, tables)
         for name in names:
             checks[name](report, shape)
     return report

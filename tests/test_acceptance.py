@@ -125,7 +125,7 @@ def test_criterion_10_hecke_reconstruction(suites, capsys):
     from crystalcharge.charge_kostka import hecke_atomic_expansion, HalfLaurentPolynomial
 
     c = Crystal.generate((2, 1, 0), 2)
-    assert hecke_atomic_expansion(c, decompose(c)) == {
+    assert hecke_atomic_expansion(decompose(c)) == {
         (2, 1, 0): HalfLaurentPolynomial.one(),
         (1, 1, 1): HalfLaurentPolynomial({4: 1}),
     }

@@ -279,7 +279,7 @@ def test_update_rule(rank, max_weight):
                     expected = 0
                 elif line_compare(mu, tmu) is LineOrder.LOWER:
                     expected = -1
-                elif tmu in previous.indegree:
+                elif tmu in previous.vertices:
                     expected = 1
                 else:
                     expected = 0
@@ -297,7 +297,7 @@ def test_indegree_difference_across_walls(rank, max_weight):
             t = stage_reflection(m + 1, rank)
             for mu in g.vertices:
                 tmu = apply_affine_reflection(t, mu)
-                if tmu == mu or tmu not in g.indegree:
+                if tmu == mu or tmu not in g.vertices:
                     continue
                 if line_compare(mu, tmu) is LineOrder.GREATER:
                     checked += 1
@@ -313,24 +313,41 @@ def test_interval_graph_views():
         view = interval.at(stage)
         assert view.stage == stage
         assert view == build_graph((2, 1, 0), stage)
-    # an edge that is never reversed stays put at stage infinity
-    fixed = [(src, dst) for src, dst, _, index in interval.edges if index is None]
+    # an edge that is never reversed stays put at stage infinity; edges join vertex ids
+    weights = interval.weights
+    assert all(interval.ids[mu] == i for i, mu in enumerate(weights))
+    fixed = [(weights[src], weights[dst]) for src, dst, _, index in interval.edges if index is None]
     assert fixed
     assert set(fixed) <= {(src, dst) for src, dst, _ in interval.at(STAGE_INFINITY).edges}
 
 
-def assert_same_graph(restricted, direct):
-    """Equal vertices, edges in order, stabilization stage, and every stage view."""
-    assert restricted == direct
-    assert restricted.edges == direct.edges
+def edges_by_weight(interval):
+    weights = interval.weights
+    return [(weights[src], weights[dst], label, index) for src, dst, label, index in interval.edges]
+
+
+def assert_same_graph(restricted, direct, parent):
+    """The parent's ids, and by weight: equal vertices, edges in order, stabilization stage, and every stage view."""
+    assert restricted.weights is parent.weights and restricted.ids is parent.ids
+    assert restricted.vertices == tuple(mu for i, mu in enumerate(parent.weights) if restricted.mask[i])
+    assert (restricted.base, restricted.vertices) == (direct.base, direct.vertices)
+    assert restricted.stabilization_stage == direct.stabilization_stage
+    assert edges_by_weight(restricted) == edges_by_weight(direct)
     for stage in [*range(direct.stabilization_stage + 1), STAGE_INFINITY]:
         view, expected = restricted.at(stage), direct.at(stage)
-        assert view == expected
+        assert (view.base, view.stage, view.vertices) == (expected.base, expected.stage, expected.vertices)
         assert view.edges == expected.edges
         counted = dict.fromkeys(view.vertices, 0)
         for _, dst, _ in view.edges:
             counted[dst] += 1
-        assert view.indegree == counted
+        assert {mu: view.arr(mu) for mu in view.vertices} == counted
+        assert {mu: expected.arr(mu) for mu in expected.vertices} == counted
+        # ids outside the mask are no vertex and count no arrow
+        outside = [i for i, inside in enumerate(restricted.mask) if not inside]
+        assert not any(view.indegree[i] for i in outside)
+        for i in outside:
+            with pytest.raises(ValueError):
+                view.arr(parent.weights[i])
 
 
 @pytest.mark.parametrize("rank, max_weight", [(1, 8), (2, 8), (3, 8), (4, 6)])
@@ -343,7 +360,7 @@ def test_restriction_equals_direct_build(rank, max_weight):
             direct[h] = interval_graph(h)
         for lam, graph in direct.items():
             for h in dominant_interval(lam):
-                assert_same_graph(graph.restrict(h), direct[h])
+                assert_same_graph(graph.restrict(h), direct[h], graph)
 
 
 def test_restriction_rejects_weights_not_below():

@@ -58,10 +58,13 @@ line; line_compare, which first finds the line of mu - nu, must give
 the same order on every weight of the cases, every positive root and
 every k from -4 to 4.  is_dominant maps
 >= over neighbours; the reference indexes them, on tuples and lists of
-length 0-4.  verify's _wall visits each vertex of a stage view once for
-the wall of a reflection; the references are the per-vertex
-wall_delta and the reflected_pairs walk it replaced, compared on every
-stage view 0..M-1 of each interval of the cases with its stage
+length 0-4.  verify reads the wall of each stage reflection from a
+table over the ids of I((k,0,...,0)), built once per run, through the
+mask of each I(h); the reference is wall_by_weight, the one pass over
+a stage view's weights that verify used before, compared on every
+(h, m) of the cases.  wall_by_weight is in turn checked against the
+per-vertex wall_delta and the reflected_pairs walk it replaced, on
+every stage view 0..M-1 of each interval of the cases with its stage
 reflection, and on each stage-0 view with every coroot that fits.
 
 The permutation helpers (perm_compose, simple_reflection,
@@ -107,7 +110,7 @@ from crystalcharge.root_data import (
     rho_doubled,
     root_vector,
 )
-from crystalcharge.verify import _wall
+from crystalcharge.verify import _Shape
 
 
 def perm_compose(v, w):
@@ -210,14 +213,14 @@ def wall_delta_reference(coroot, mu, graph):
         return 0
     if line_compare(mu, tmu) is LineOrder.LOWER:
         return -1
-    return 1 if tmu in graph.indegree else 0
+    return 1 if tmu in graph.vertices else 0
 
 
 def reflected_pairs_reference(coroot, graph):
     """(mu, t mu) for each vertex mu below its reflection t mu, a vertex too."""
     for mu in graph.vertices:
         tmu = apply_affine_reflection(coroot, mu)
-        if tmu != mu and tmu in graph.indegree and line_compare(mu, tmu) is LineOrder.GREATER:
+        if tmu != mu and tmu in graph.vertices and line_compare(mu, tmu) is LineOrder.GREATER:
             yield mu, tmu
 
 
@@ -461,8 +464,54 @@ def test_is_dominant_matches_reference():
             assert is_dominant(mu) == is_dominant(list(mu)) == is_dominant_reference(mu)
 
 
+def wall_by_weight(g, t):
+    """The wall of t in the view g, read in one pass over its vertices.
+
+    Returns the predicted change of arr(mu) when the edges labeled t
+    reverse, for each vertex mu: -1 when t mu is Bruhat-lower, +1 when it
+    is higher and a vertex, 0 otherwise (also when mu is fixed); and the
+    pairs (mu, t mu), in vertex order, with mu below t mu, a vertex too.
+    """
+    vertices = set(g.vertices)
+    change = {}
+    pairs = []
+    for mu in g.vertices:
+        order = line_order(mu, t.root, t.shift(mu))
+        delta = -1 if order is LineOrder.LOWER else 0
+        if order is LineOrder.GREATER:
+            tmu = apply_affine_reflection(t, mu)
+            if tmu in vertices:
+                delta = 1
+                pairs.append((mu, tmu))
+        change[mu] = delta
+    return change, pairs
+
+
+def test_wall_tables_match_wall_by_weight():
+    """Every (h, m) of the cases: the table reading, mapped back to weights, is wall_by_weight of the view at m."""
+    walls = 0
+    for rank in (1, 2, 3):
+        views, tables = {}, {}
+        for case_rank, lam, interval in CASES:
+            if case_rank != rank:
+                continue
+            shape = _Shape(lam, rank, 1000, views, tables)
+            read = list(shape.walls(lam))
+            assert [g.stage for g, _, _, _ in read] == list(range(len(read)))
+            assert len(read) == interval_graph(lam).stabilization_stage
+            for g, g_next, change, pairs in read:
+                assert g_next.stage == g.stage + 1
+                weights, mask = g.interval.weights, g.interval.mask
+                expected_change, expected_pairs = wall_by_weight(g, stage_reflection(g.stage + 1, rank))
+                assert {weights[i]: d for i, d in enumerate(change) if mask[i]} == expected_change
+                assert not any(d for i, d in enumerate(change) if not mask[i])
+                assert [(weights[i], weights[j]) for i, j in pairs] == expected_pairs
+                walls += bool(pairs)
+    assert walls > 50
+
+
 def assert_wall_matches_references(g, t):
-    change, pairs = _wall(g, t)
+    change, pairs = wall_by_weight(g, t)
     assert change == {mu: wall_delta_reference(t, mu, g) for mu in g.vertices}
     assert pairs == list(reflected_pairs_reference(t, g))
     # each pair's first weight lies below its second

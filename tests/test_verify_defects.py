@@ -23,12 +23,13 @@ the gamma families exactly as it does under their own suites.
 """
 
 from collections import Counter
+from dataclasses import replace
 from itertools import permutations
 
 import pytest
 
 from crystalcharge import charge_kostka, verify
-from crystalcharge.affine_graph import STAGE_INFINITY, AffineCoroot, IntervalGraph, apply_affine_reflection
+from crystalcharge.affine_graph import STAGE_INFINITY, AffineCoroot, apply_affine_reflection
 from crystalcharge.crystal import Crystal, conjugating_permutation, normalize_shape
 from crystalcharge.root_data import format_weight, positive_roots, reduced_word
 from crystalcharge.verify import VerifyFailure, run_verify, sweep_shapes
@@ -129,8 +130,9 @@ def test_raised_eps_fails_constant_z_and_string_sums(monkeypatch, x):
 def corrupt_first_reversible_edge(monkeypatch, corrupt):
     """interval_graph, as verify calls it, with corrupt applied to its first reversible edge.
 
-    corrupt maps (src, dst, label, index) to the planted edge.  Returns a
-    dict that collects the corrupted edge's (src, dst) per base.
+    corrupt maps (src, dst, label, index), with src and dst vertex ids,
+    to the planted edge.  Returns a dict that collects the corrupted
+    edge's (src, dst) ids per base; restrictions share those ids.
     """
     direct = verify.interval_graph
     corrupted = {}
@@ -144,7 +146,7 @@ def corrupt_first_reversible_edge(monkeypatch, corrupt):
         src, dst, label, index = edges[reversible[0]]
         edges[reversible[0]] = corrupt(src, dst, label, index)
         corrupted[graph.base] = (src, dst)
-        return IntervalGraph(graph.base, graph.vertices, tuple(edges))
+        return replace(graph, edges=tuple(edges))
 
     monkeypatch.setattr(verify, "interval_graph", build)
     return corrupted
