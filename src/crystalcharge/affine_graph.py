@@ -198,8 +198,7 @@ class IntervalGraph:
         dominants, orbit_of = self._orbits
         inside = set(dominant_interval(h))
         mask = list(map([d in inside for d in dominants].__getitem__, orbit_of))
-        edges = tuple([edge for edge in self.edges if mask[edge[1]]])
-        return IntervalGraph(h, self.weights, self.ids, edges, mask)
+        return IntervalGraph(h, self.weights, self.ids, tuple([e for e in self.edges if mask[e[1]]]), mask)
 
     @cached_property
     def _orbits(self) -> tuple[tuple[Weight, ...], list[int]]:
@@ -293,10 +292,10 @@ def interval_graph(lambda_prime: Weight) -> IntervalGraph:
     by_tail = [()] + [tuple(run) for _, run in groupby(positive_roots(n), itemgetter(0))]
     for i, mu in enumerate(vertices):
         tails = [j for j in range(1, n + 1) if mu[j - 1] > low]
+        nu = list(mu)
         for beta in [b for j in tails for b in by_tail[j] if mu[b[1]] < high]:
             j, k = beta
             p = mu[j - 1] - mu[k]
-            nu = list(mu)
             step = 1
             while True:
                 nu[j - 1] -= 1
@@ -316,6 +315,7 @@ def interval_graph(lambda_prime: Weight) -> IntervalGraph:
                     entry = labels[key] = (label, label.reversal_index(n))
                 edges.append((src, dst, *entry))
                 step += 1
+            nu[j - 1], nu[k] = mu[j - 1], mu[k]
     return IntervalGraph(lam, vertices, ids, tuple(edges), [True] * len(vertices))
 
 

@@ -125,13 +125,13 @@ def sweep_shapes(rank: int, max_weight: int) -> tuple[tuple[int, ...], ...]:
 class _Shape:
     """One sweep shape, as every suite reads it: the crystal and its decomposition are built on first read.
 
-    `case` is the prefix of the shape's case texts.  `views` holds the
+    `case` is the prefix of the shape's case texts.  `cache` holds the
     stage views of each I(h), and `tables` the wall table of each
     (I((k,0,...,0)), stage); the shapes of one run share both.
     """
 
-    def __init__(self, lam: Weight, rank: int, max_elements: int, views: dict, tables: dict):
-        self.lam, self.rank, self.max_elements, self.cache, self.tables = lam, rank, max_elements, views, tables
+    def __init__(self, lam: Weight, rank: int, max_elements: int, cache: dict, tables: dict):
+        self.lam, self.rank, self.max_elements, self.cache, self.tables = lam, rank, max_elements, cache, tables
         self.top = (sum(lam),) + (0,) * rank
         self.case = f"n={rank} lam={format_weight(lam)}"
 
@@ -189,7 +189,7 @@ class _Shape:
             lower, upper = self._wall_table(m)
             change = [0] * len(mask)
             for i in lower:
-                change[i] = -mask[i]
+                change[i] = -1 if mask[i] else 0
             pairs = [(i, j) for i, j in upper if mask[i] and mask[j]]
             for i, _ in pairs:
                 change[i] = 1

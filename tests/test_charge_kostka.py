@@ -1,6 +1,8 @@
 """Tests for charge statistics, Kostka polynomials and the Hecke expansion."""
 
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -19,9 +21,10 @@ from crystalcharge.charge_kostka import (
     recharge,
     recharge_table,
     swapping_map,
+    word_eps_sum,
 )
 from crystalcharge.crystal import Crystal, reading_word
-from crystalcharge.root_data import dominant_interval, is_dominant, length, rho_doubled
+from crystalcharge.root_data import dominant_interval, is_dominant, length, partitions, rho_doubled
 from crystalcharge.verify import sweep_shapes
 
 P = HalfLaurentPolynomial
@@ -216,6 +219,43 @@ def test_ls_word_charge_with_repeats():
     # classical values for shape (2,2): K_{(2,2),(2,1,1)} = q, K_{(2,2),(1,1,1,1)} = q^2 + q^4
     assert ls_word_charge((2, 3, 1, 1)) == 1
     assert sorted((ls_word_charge((3, 4, 1, 2)), ls_word_charge((2, 4, 1, 3)))) == [2, 4]
+
+
+def insertion_tableau(word):
+    """Schensted row insertion: each letter bumps the leftmost larger entry of a row into the next row."""
+    rows = []
+    for v in word:
+        for row in rows:
+            p = bisect_right(row, v)
+            if p == len(row):
+                row.append(v)
+                break
+            row[p], v = v, row[p]
+        else:
+            rows.append([v])
+    return rows
+
+
+def test_word_charges_are_knuth_invariant():
+    """Both word charges are constant on Knuth classes: each word scores as its insertion tableau's reading word.
+
+    Every nonempty word with partition content and up to 7 letters, not
+    only the tableau words kostka feeds them; e.g. (1, 2, 1) inserts to
+    (2, 1, 1).
+    """
+    words = 0
+    for size in range(1, 8):
+        for content in partitions(size, size):
+            letters = [v for v, count in enumerate(content, start=1) for _ in range(count)]
+            for word in set(permutations(letters)):
+                knuth = reading_word(insertion_tableau(word))
+                assert sorted(knuth) == letters
+                assert ls_word_charge(word) == ls_word_charge(knuth), word
+                for rank in (len(content) - 1, len(content)):
+                    assert word_eps_sum(word, rank) == word_eps_sum(knuth, rank), (word, rank)
+                words += 1
+    assert words == 13390
+    assert reading_word(insertion_tableau((1, 2, 1))) == (2, 1, 1)
 
 
 def test_ls_word_charge_empty():

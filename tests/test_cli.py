@@ -228,6 +228,13 @@ def test_verify_negative_max_weight_exits_2(capsys, max_weight):
     )
 
 
+def test_verify_max_weight_0_checks_the_empty_shape(capsys):
+    """Max weight 0 is the smallest sweep, the empty shape alone: it runs and passes."""
+    status, out, _ = run_cli(capsys, "verify", "--suite", "all", "--rank", "2", "--max-weight", "0")
+    assert status == 0
+    assert out == "suite=all rank=2 max_weight=0 cases=26 failures=0\n"
+
+
 def test_verify_unknown_suite_exits_2(capsys):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["verify", "--suite", "bogus"])

@@ -127,6 +127,21 @@ def test_raised_eps_fails_constant_z_and_string_sums(monkeypatch, x):
     assert "string-sums" in {f.check for f in strings.failures}
 
 
+def test_shifted_last_column_image_fails_commutation(monkeypatch):
+    """tilde_op's f image along every root (j, n), j < n, shifted by one id: the sum-root commutations ending at n see it."""
+    tilde_op = Crystal.tilde_op
+
+    def shifted(c, direction, beta, x):
+        y = tilde_op(c, direction, beta, x)
+        if direction == "f" and beta[0] < beta[1] == c.rank and y is not None:
+            return (y + 1) % c.size
+        return y
+
+    monkeypatch.setattr(Crystal, "tilde_op", shifted)
+    report = run_verify("strings", 3, 4)
+    assert Counter(f.check for f in report.failures if f.check == "commutation") == {"commutation": 6}
+
+
 def corrupt_first_reversible_edge(monkeypatch, corrupt):
     """interval_graph, as verify calls it, with corrupt applied to its first reversible edge.
 
