@@ -154,7 +154,7 @@ class IntervalGraph:
     weights: tuple[Weight, ...] = field(repr=False)
     ids: dict[Weight, int] = field(repr=False, compare=False)
     edges: tuple[tuple[int, int, AffineCoroot, int | None], ...]
-    mask: list[bool] = field(repr=False)
+    mask: tuple[bool, ...] = field(repr=False)
     vertices: tuple[Weight, ...] = field(init=False, repr=False, compare=False)
     stabilization_stage: int = field(init=False)
     indegree: list[int] = field(init=False, repr=False, compare=False)
@@ -197,7 +197,7 @@ class IntervalGraph:
             raise ValueError(f"{h} is not a dominant weight below {self.base}")
         dominants, orbit_of = self._orbits
         inside = set(dominant_interval(h))
-        mask = list(map([d in inside for d in dominants].__getitem__, orbit_of))
+        mask = tuple(map([d in inside for d in dominants].__getitem__, orbit_of))
         return IntervalGraph(h, self.weights, self.ids, tuple([e for e in self.edges if mask[e[1]]]), mask)
 
     @cached_property
@@ -316,7 +316,7 @@ def interval_graph(lambda_prime: Weight) -> IntervalGraph:
                 edges.append((src, dst, *entry))
                 step += 1
             nu[j - 1], nu[k] = mu[j - 1], mu[k]
-    return IntervalGraph(lam, vertices, ids, tuple(edges), [True] * len(vertices))
+    return IntervalGraph(lam, vertices, ids, tuple(edges), (True,) * len(vertices))
 
 
 def build_graph(lambda_prime: Weight, stage: Stage) -> TwistedGraph:
