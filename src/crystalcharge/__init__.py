@@ -47,7 +47,6 @@ from .charge_kostka import (
 from .crystal import (
     Crystal,
     CrystalSizeError,
-    StringStats,
     normalize_shape,
     reading_word,
     semistandard_tableaux,
@@ -62,6 +61,5 @@ from .root_data import (
     pairing,
     positive_roots,
     rho_doubled,
-    root_vector,
 )
 from .verify import VerifyReport, run_verify, validate_atom

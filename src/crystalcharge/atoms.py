@@ -3,7 +3,9 @@ Atomic decomposition of a crystal and the atomic number Z.
 
 The decomposition is computed as the connected components of the graph
 on crystal elements whose edges join x to s_i(x) for every simple
-reflection and to f_n(x).  Each component carries pairwise-distinct
+reflection and to f_n(x), found by one flood fill over the id rows of
+s_1, ..., s_n and f_n; e_n is never read, so the components follow the
+edges as given even when f_n is not injective.  Each component carries pairwise-distinct
 weights forming the lower Bruhat interval below a unique dominant
 highest weight, and the atomic number
 
@@ -30,24 +32,6 @@ from .root_data import (
 
 class AtomStructureError(RuntimeError):
     """A component of the atom graph lacks a unique dominant maximal weight."""
-
-
-class _UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
 
 
 @dataclass(frozen=True)
@@ -100,28 +84,52 @@ def atomic_number(crystal: Crystal, x: int) -> int:
     return rho_doubled(crystal.weight(x)) + 2 * eps_sum
 
 
+def _components(size: int, rows: list) -> list[list[int]]:
+    """The components of the undirected graph on range(size) with an edge x - row[x] for each row.
+
+    A None entry adds no edge.  A row that is an involution reaches
+    back through itself; the edges of any other row are also kept
+    reversed, by head.  Each component is listed from its least id.
+    """
+    back: dict[int, list[int]] = {}
+    for row in rows:
+        if None in row or list(map(row.__getitem__, row)) != list(range(size)):
+            for x, y in enumerate(row):
+                if y is not None:
+                    back.setdefault(y, []).append(x)
+    seen = [False] * size
+    components = []
+    for start in range(size):
+        if seen[start]:
+            continue
+        seen[start] = True
+        members = [start]
+        # members grows while it is read, so each id is expanded once
+        for x in members:
+            for row in rows:
+                y = row[x]
+                if y is not None and not seen[y]:
+                    seen[y] = True
+                    members.append(y)
+            for y in back.get(x, ()):
+                if not seen[y]:
+                    seen[y] = True
+                    members.append(y)
+        components.append(members)
+    return components
+
+
 def decompose(crystal: Crystal) -> AtomDecomposition:
     """Split the crystal into atoms.
 
-    Components are computed by union-find over the generator edges
-    s_1, ..., s_n and f_n; full Weyl-orbit edges are redundant.  Z is
+    Components are found by a flood fill over the generator rows s_1,
+    ..., s_n and f_n; full Weyl-orbit edges are redundant.  Z is
     evaluated once per atom, at its highest-weight element.
     """
     n = crystal.rank
-    uf = _UnionFind(crystal.size)
-    for x in range(crystal.size):
-        for i in range(1, n + 1):
-            uf.union(x, crystal.si(i, x))
-        y = crystal.f(n, x)
-        if y is not None:
-            uf.union(x, y)
-
-    components: dict[int, list[int]] = {}
-    for x in range(crystal.size):
-        components.setdefault(uf.find(x), []).append(x)
-
+    rows = [crystal.si_row(i) for i in range(1, n + 1)] + [crystal._f[n - 1]]
     atoms = []
-    for members in components.values():
+    for members in map(sorted, _components(crystal.size, rows)):
         dominant_members = [x for x in members if is_dominant(crystal.weight(x))]
         if not dominant_members:
             raise AtomStructureError("component without a dominant weight")
@@ -134,7 +142,7 @@ def decompose(crystal: Crystal) -> AtomDecomposition:
                     f"component weight {crystal.weight(x)} not below candidate "
                     f"highest weight {highest}"
                 )
-        atoms.append(Atom(highest, tuple(sorted(members)), atomic_number(crystal, top)))
+        atoms.append(Atom(highest, tuple(members), atomic_number(crystal, top)))
 
     atoms.sort(key=lambda atom: (atom.highest_weight, -atom.element_ids[0]), reverse=True)
     member_of = [0] * crystal.size
@@ -154,16 +162,7 @@ def bplus_components(crystal: Crystal) -> tuple[tuple[int, ...], ...]:
     """
     vertices = [x for x in range(crystal.size) if is_dominant(crystal.weight(x))]
     position = {x: idx for idx, x in enumerate(vertices)}
-    uf = _UnionFind(len(vertices))
-    for x in vertices:
-        for beta in positive_roots(crystal.rank):
-            y = crystal.tilde_op("f", beta, x)
-            if y is not None and y in position:
-                uf.union(position[x], position[y])
-    components: dict[int, list[int]] = {}
-    for x in vertices:
-        components.setdefault(uf.find(position[x]), []).append(x)
-    return tuple(
-        tuple(sorted(members))
-        for members in sorted(components.values(), key=lambda ms: min(ms))
-    )
+    rows = [
+        [position.get(crystal.tilde_op("f", beta, x)) for x in vertices] for beta in positive_roots(crystal.rank)
+    ]
+    return tuple(sorted(tuple(sorted(vertices[p] for p in members)) for members in _components(len(vertices), rows)))

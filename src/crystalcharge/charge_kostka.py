@@ -311,34 +311,34 @@ def ls_word_charge(word: Iterable[int]) -> int:
 # -- Weyl-averaged charge (second oracle) -------------------------------------
 
 
-def llt_gamma_raw(crystal: Crystal, x: int) -> int:
-    """The unnormalized double sum over the full Weyl group.
+def llt_gamma_raw(crystal: Crystal) -> tuple[int, ...]:
+    """The unnormalized double sum over the full Weyl group, of every element, indexed by id.
 
-    Walks the orbit of x once, one s_i step per group element: S_(k+1)
-    is the disjoint union of the cosets s_j ... s_k S_k for j = k+1
-    (the empty product), k, ..., 1.  Each coset is one s_i row applied
-    to the previous one; the inner sum over i is the crystal's
-    per-element summand.
+    S_(k+1) is the disjoint union of the cosets S_k s_k ... s_j for j =
+    k+1 (the empty product), k, ..., 1.  So the orbit sums over S_(k+1)
+    are the sums over S_k read at s_k ... s_j x, s_j applied first: one
+    gather by the s_j row per coset, n(n+1)/2 in all, starting from the
+    crystal's per-element summand, the inner sum over i.
     """
-    orbit = [x]
+    sums = list(crystal.gamma_summands)
     for k in range(1, crystal.rank + 1):
-        coset = orbit
-        for i in range(k, 0, -1):
-            coset = list(map(crystal.si_row(i).__getitem__, coset))
-            orbit += coset
-    return sum(map(crystal.gamma_summands.__getitem__, orbit))
+        cosets = [sums]
+        for j in range(k, 0, -1):
+            cosets.append(list(map(cosets[-1].__getitem__, crystal.si_row(j))))
+        sums = list(map(sum, zip(*cosets)))
+    return tuple(sums)
 
 
-def llt_gamma(crystal: Crystal, x: int) -> int:
-    """The Weyl-averaged statistic; the raw sum must divide by (n+1)!."""
-    raw = llt_gamma_raw(crystal, x)
+def llt_gamma(crystal: Crystal) -> tuple[int, ...]:
+    """The Weyl-averaged statistic of every element, indexed by id; each raw sum must divide by (n+1)!."""
     order = factorial(crystal.rank + 1)
-    quotient, remainder = divmod(raw, order)
-    if remainder:
-        raise ArithmeticError(
-            f"raw gamma sum {raw} for element {x} is not divisible by {order}"
-        )
-    return quotient
+    gammas = []
+    for x, raw in enumerate(llt_gamma_raw(crystal)):
+        quotient, remainder = divmod(raw, order)
+        if remainder:
+            raise ArithmeticError(f"raw gamma sum {raw} for element {x} is not divisible by {order}")
+        gammas.append(quotient)
+    return tuple(gammas)
 
 
 # -- Kostka-Foulkes polynomials ------------------------------------------------
@@ -383,7 +383,8 @@ def kostka(
     if method != "llt":
         return kostka_of_tableaux(tableaux_of_content(shape, mu), mu, method)
     crystal = Crystal.generate(shape, rank, max_elements)
-    return HalfLaurentPolynomial(Counter(2 * llt_gamma(crystal, x) for x in crystal.elements_of_weight(mu)))
+    gammas = llt_gamma(crystal)
+    return HalfLaurentPolynomial(Counter(2 * gammas[x] for x in crystal.elements_of_weight(mu)))
 
 
 def kostka_of_tableaux(tableaux: Sequence[TableauRows], mu: Weight, method: str) -> HalfLaurentPolynomial:

@@ -36,7 +36,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 from itertools import chain, permutations
 from math import comb
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .root_data import (
     Permutation,
@@ -58,13 +58,6 @@ class CrystalSizeError(ValueError):
 
 class CrystalStructureError(ValueError):
     """Raised when tableaux or operator tables break the tableau model."""
-
-
-class StringStats(NamedTuple):
-    """Maximal powers of e (eps) and f (phi) not annihilating an element."""
-
-    eps: int
-    phi: int
 
 
 def normalize_shape(parts: tuple[int, ...], rank: int) -> Weight:
@@ -319,10 +312,6 @@ class Crystal:
 
     # -- modified operators f_a = w f_k w^{-1} ---------------------------
 
-    def root_op(self, direction: str, beta: Root, x: int) -> Optional[int]:
-        """f_beta or e_beta for a positive root beta = a_{j,k}."""
-        return self.root_op_power(direction, beta, x, 1)
-
     def root_op_power(self, direction: str, beta: Root, x: int, power: int) -> Optional[int]:
         """Apply f_beta or e_beta `power` times; None as soon as it vanishes.
 
@@ -342,15 +331,6 @@ class Crystal:
         for i in range(k - 1, j - 1, -1):
             y = self._si[i - 1][y]
         return y
-
-    def root_string_stats(self, beta: Root, x: int) -> StringStats:
-        """eps and phi along the beta-string: eps_k and phi_k after w^{-1}."""
-        j, k = beta
-        y = x
-        for i in range(j, k):
-            y = self._si[i - 1][y]
-        eps, mu = self._eps[k - 1][y], self.weights[y]
-        return StringStats(eps, eps + mu[k - 1] - mu[k])
 
     # -- operators conjugated from the last simple root -------------------
 

@@ -50,17 +50,6 @@ def positive_roots(n: int) -> tuple[Root, ...]:
     return tuple((j, k) for j in range(1, n + 1) for k in range(j, n + 1))
 
 
-def root_vector(beta: Root, n: int) -> Weight:
-    """The root a_{j,k} as a length-(n+1) coordinate vector."""
-    j, k = beta
-    if not 1 <= j <= k <= n:
-        raise ValueError(f"invalid root {beta} for rank {n}")
-    vec = [0] * (n + 1)
-    vec[j - 1] = 1
-    vec[k] = -1
-    return tuple(vec)
-
-
 def in_parabolic(beta: Root, n: int) -> bool:
     """Whether beta lies in the sub-root-system generated by a_1, ..., a_{n-1}."""
     return beta[1] <= n - 1

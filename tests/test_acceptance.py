@@ -230,6 +230,32 @@ def test_suite_sizes_at_rank_5_weight_5(suite, cases):
     assert (report.cases, report.failures) == (cases, [])
 
 
+def test_family_counts_at_rank_6_weight_4():
+    """A rank-6 point of every suite, the factorial ones included, family by family."""
+    report = run_verify("all", 6, 4)
+    assert report.failures == []
+    assert report.counts == {
+        # oracles
+        "new=ls": 26, "new=llt": 26, "q=1": 26, "K(lam,lam)=1": 12, "gamma-divisible": 12, "charge=gamma": 12,
+        # atoms
+        "partition": 12, "distinct-weights": 18, "lower-interval": 18, "constant-z": 18, "tilde-components": 12,
+        "multiplicity": 26, "closure": 12, "lowering-depth": 12,
+        # gammam
+        "wall-difference": 66,
+        # arrows
+        "stage0-length": 12, "infinity-closed-form": 12, "stabilization": 12, "edge-labels": 90, "update-rule": 66,
+        "per-element-infinity": 12,
+        # swapping
+        "psi-total": 72, "psi-target": 72, "recharge-drop": 72, "three-case-delta": 72, "psi-images": 72,
+        "psi-injective": 558,
+        # strings
+        "pairing": 12, "string-sums": 12, "conjugator-choice": 12, "commutation": 12,
+        # hecke
+        "leading-coefficient": 12, "nonnegative": 12, "reconstruction": 26,
+    }
+    assert report.cases == 1528
+
+
 def test_verify_all_generates_each_crystal_once_and_decomposes_it_at_most_once(monkeypatch):
     generate = Crystal.generate.__func__
     generated, decomposed = [], []

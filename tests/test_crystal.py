@@ -10,6 +10,9 @@ from test_kernel_references import (
     is_semistandard,
     perm_compose,
     phi_rows,
+    root_op_reference,
+    root_string_stats_reference,
+    root_vector,
     simple_reflection,
     tilde_op_reference,
     weyl_act,
@@ -29,7 +32,7 @@ from crystalcharge.crystal import (
     semistandard_tableaux,
     weyl_dimension,
 )
-from crystalcharge.root_data import pairing, positive_roots, root_vector
+from crystalcharge.root_data import pairing, positive_roots
 from crystalcharge.verify import run_verify
 
 
@@ -194,11 +197,11 @@ def test_crystal_op_examples(c20, c210):
 
 def test_string_stats_examples(c20, c210):
     for i in (1, 2):
-        stats = c210.root_string_stats((i, i), c210.highest)
+        stats = root_string_stats_reference(c210, (i, i), c210.highest)
         assert stats.eps == 0
         assert stats.phi == pairing(c210.shape, (i, i))
-    assert c20.root_string_stats((1, 1), c20.elements.index(((1, 2),))) == (1, 1)
-    assert c210.root_string_stats((1, 1), c210.elements.index(((1, 2), (2,)))) == (1, 0)
+    assert root_string_stats_reference(c20, (1, 1), c20.elements.index(((1, 2),))) == (1, 1)
+    assert root_string_stats_reference(c210, (1, 1), c210.elements.index(((1, 2), (2,)))) == (1, 0)
 
 
 def test_bijectivity(c210):
@@ -311,21 +314,21 @@ def test_root_op_is_conjugated(c210):
         expected = c210.si(1, x)
         expected = c210.f(2, expected)
         expected = None if expected is None else c210.si(1, expected)
-        assert c210.root_op("f", (1, 2), x) == expected
+        assert root_op_reference(c210, "f", (1, 2), x) == expected
 
 
 def test_root_op_simple_coincides(c210):
     for i in (1, 2):
         for x in range(c210.size):
-            assert c210.root_op("f", (i, i), x) == c210.f(i, x)
-            assert c210.root_op("e", (i, i), x) == c210.e(i, x)
+            assert root_op_reference(c210, "f", (i, i), x) == c210.f(i, x)
+            assert root_op_reference(c210, "e", (i, i), x) == c210.e(i, x)
 
 
 def test_root_op_weight_shift(c210):
     for beta in positive_roots(2):
         vec = root_vector(beta, 2)
         for x in range(c210.size):
-            y = c210.root_op("f", beta, x)
+            y = root_op_reference(c210, "f", beta, x)
             if y is not None:
                 assert c210.weights[y] == tuple(
                     a - b for a, b in zip(c210.weights[x], vec)
@@ -333,23 +336,23 @@ def test_root_op_weight_shift(c210):
 
 
 def test_root_op_on_highest(c210):
-    y = c210.root_op("f", (1, 2), c210.highest)
+    y = root_op_reference(c210, "f", (1, 2), c210.highest)
     assert y is not None
     assert c210.weights[y] == (1, 1, 1)
 
 
 def test_root_string_stats(c210):
     for beta in positive_roots(2):
-        assert c210.root_string_stats(beta, c210.highest).eps == 0
+        assert root_string_stats_reference(c210, beta, c210.highest).eps == 0
         for x in range(c210.size):
-            stats = c210.root_string_stats(beta, x)
+            stats = root_string_stats_reference(c210, beta, x)
             assert stats.phi - stats.eps == pairing(c210.weights[x], beta)
 
 
 def test_root_string_stats_count_actual_powers(c210):
     for beta in positive_roots(2):
         for x in range(c210.size):
-            stats = c210.root_string_stats(beta, x)
+            stats = root_string_stats_reference(c210, beta, x)
             assert c210.root_op_power("e", beta, x, stats.eps) is not None
             assert c210.root_op_power("e", beta, x, stats.eps + 1) is None
             assert c210.root_op_power("f", beta, x, stats.phi) is not None
@@ -363,10 +366,10 @@ def test_reflection_stays_on_string(c210):
         for x in range(c210.size):
             string = {x}
             y = x
-            while (y := c210.root_op("f", beta, y)) is not None:
+            while (y := root_op_reference(c210, "f", beta, y)) is not None:
                 string.add(y)
             y = x
-            while (y := c210.root_op("e", beta, y)) is not None:
+            while (y := root_op_reference(c210, "e", beta, y)) is not None:
                 string.add(y)
             assert weyl_act(c210, s_beta, x) in string
 
@@ -376,7 +379,7 @@ def test_string_sum_lemma(c210, c2100):
         for i in range(1, crystal.rank):
             beta = (i, i + 1)
             for x in range(crystal.size):
-                y = crystal.root_op("f", beta, x)
+                y = root_op_reference(crystal, "f", beta, x)
                 if y is not None:
                     assert crystal.eps(i, x) + crystal.phi(i + 1, x) == crystal.eps(
                         i, y
@@ -393,8 +396,8 @@ def test_tilde_equals_root_op_on_last_column(c210, c2100):
             beta = (j, n)
             for x in range(crystal.size):
                 for direction in ("f", "e"):
-                    assert crystal.tilde_op(direction, beta, x) == crystal.root_op(
-                        direction, beta, x
+                    assert crystal.tilde_op(direction, beta, x) == root_op_reference(
+                        crystal, direction, beta, x
                     )
 
 
@@ -483,7 +486,7 @@ def test_weight_queries_build_no_tables(table_builds, monkeypatch):
 @pytest.mark.parametrize(
     "query",
     [
-        lambda c: [llt_gamma(c, x) for x in c.elements_of_weight(TABLE_MU)],
+        lambda c: [llt_gamma(c)[x] for x in c.elements_of_weight(TABLE_MU)],
         decompose,
         Crystal.to_json_dict,
     ],

@@ -75,6 +75,7 @@ other test modules; the package itself needs none of them.
 
 from fractions import Fraction
 from itertools import permutations, product
+from typing import NamedTuple
 
 import pytest
 
@@ -85,7 +86,7 @@ from crystalcharge.affine_graph import (
     interval_graph,
     stage_reflection,
 )
-from crystalcharge.atoms import atomic_number
+from crystalcharge.atoms import atomic_number, bplus_components, decompose
 from crystalcharge.charge_kostka import HalfLaurentPolynomial, charge, kostka, llt_gamma_raw, word_eps_sum
 from crystalcharge.crystal import (
     Crystal,
@@ -108,9 +109,8 @@ from crystalcharge.root_data import (
     positive_roots,
     reduced_word,
     rho_doubled,
-    root_vector,
 )
-from crystalcharge.verify import _Shape
+from crystalcharge.verify import _conjugate, _Shape, _weyl_tables
 
 
 def perm_compose(v, w):
@@ -131,6 +131,98 @@ def weyl_apply_weight(w, mu):
     for i, wi in enumerate(w):
         out[wi] = mu[i]
     return tuple(out)
+
+
+def root_vector(beta, n):
+    """The root a_{j,k} as a length-(n+1) coordinate vector."""
+    j, k = beta
+    if not 1 <= j <= k <= n:
+        raise ValueError(f"invalid root {beta} for rank {n}")
+    vec = [0] * (n + 1)
+    vec[j - 1] = 1
+    vec[k] = -1
+    return tuple(vec)
+
+
+class StringStats(NamedTuple):
+    """Maximal powers of e (eps) and f (phi) not annihilating an element."""
+
+    eps: int
+    phi: int
+
+
+def root_op_reference(c, direction, beta, x):
+    """f_beta (resp. e_beta) = w f_k w^{-1} of one element, beta = (j, k), w = s_j ... s_(k-1).
+
+    w^{-1} applies s_j first, w applies it last.
+    """
+    j, k = beta
+    for i in range(j, k):
+        x = c.si(i, x)
+    x = (c.f if direction == "f" else c.e)(k, x)
+    if x is None:
+        return None
+    for i in range(k - 1, j - 1, -1):
+        x = c.si(i, x)
+    return x
+
+
+def root_string_stats_reference(c, beta, x):
+    """eps and phi along the beta-string: eps_k and phi_k after w^{-1}, one walk."""
+    j, k = beta
+    for i in range(j, k):
+        x = c.si(i, x)
+    return StringStats(c.eps(k, x), c.phi(k, x))
+
+
+class UnionFind:
+    def __init__(self, size):
+        self.parent = list(range(size))
+
+    def find(self, x):
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[rb] = ra
+
+
+def union_find_components(size, edges):
+    """The components of the undirected graph on range(size) with the given edges, sorted."""
+    uf = UnionFind(size)
+    for a, b in edges:
+        uf.union(a, b)
+    components = {}
+    for x in range(size):
+        components.setdefault(uf.find(x), []).append(x)
+    return sorted(tuple(members) for members in components.values())
+
+
+def atom_components_reference(c):
+    """The atoms' element sets by union-find over the edges x - s_i(x) and x - f_n(x), one element at a time."""
+    n = c.rank
+    edges = [(x, c.si(i, x)) for x in range(c.size) for i in range(1, n + 1)]
+    edges += [(x, c.f(n, x)) for x in range(c.size) if c.f(n, x) is not None]
+    return union_find_components(c.size, edges)
+
+
+def bplus_components_reference(c):
+    """The tilde components of the dominant elements, by union-find over positions."""
+    vertices = [x for x in range(c.size) if is_dominant(c.weight(x))]
+    position = {x: p for p, x in enumerate(vertices)}
+    edges = [
+        (position[x], position[y])
+        for x in vertices
+        for beta in positive_roots(c.rank)
+        if (y := c.tilde_op("f", beta, x)) in position
+    ]
+    return tuple(tuple(vertices[p] for p in members) for members in union_find_components(len(vertices), edges))
 
 
 def weyl_act(c, w, x):
@@ -265,6 +357,17 @@ def si_reference(c, i, x):
     return x
 
 
+def llt_gamma_walk_reference(c, x):
+    """The raw Weyl sum of one element, walking its orbit along the cosets s_j ... s_k S_k, s_k applied first."""
+    orbit = [x]
+    for k in range(1, c.rank + 1):
+        coset = orbit
+        for i in range(k, 0, -1):
+            coset = list(map(c.si_row(i).__getitem__, coset))
+            orbit += coset
+    return sum(map(c.gamma_summands.__getitem__, orbit))
+
+
 def llt_gamma_raw_reference(c, x):
     n = c.rank
     total = 0
@@ -278,7 +381,7 @@ def tilde_op_reference(c, direction, beta, x, u):
     """u f_n u^{-1} (resp. e_n) through the inverse permutation and its own reduced word."""
     u_inverse = tuple(sorted(range(len(u)), key=u.__getitem__))
     y = weyl_act(c, u_inverse, x)
-    y = c.root_op(direction, (c.rank, c.rank), y)
+    y = root_op_reference(c, direction, (c.rank, c.rank), y)
     if y is None:
         return None
     return weyl_act(c, u, y)
@@ -286,7 +389,7 @@ def tilde_op_reference(c, direction, beta, x, u):
 
 def atomic_number_reference(c, x):
     """2Z: <wt(x), 2 rho^v> plus twice eps along each positive root's string, one walk per root."""
-    return rho_doubled(c.weight(x)) + 2 * sum(c.root_string_stats(beta, x).eps for beta in positive_roots(c.rank))
+    return rho_doubled(c.weight(x)) + 2 * sum(root_string_stats_reference(c, beta, x).eps for beta in positive_roots(c.rank))
 
 
 def weyl_dimension_reference(lam):
@@ -557,8 +660,9 @@ def test_llt_gamma_raw_matches_per_permutation_sum():
         for size in range(7):
             for lam in dominant_weights(rank, size):
                 c = Crystal.generate(lam, rank)
+                raw = llt_gamma_raw(c)
                 for x in range(c.size):
-                    assert llt_gamma_raw(c, x) == llt_gamma_raw_reference(c, x)
+                    assert raw[x] == llt_gamma_raw_reference(c, x)
 
 
 def small_crystals():
@@ -647,3 +751,37 @@ def test_operator_tables_match_per_index_passes():
         c = Crystal.generate(lam, rank)
         got = (c._f, c._e, c._eps, phi_rows(c), c._si, c.weights, c.highest)
         assert got == crystal_reference(c.elements, rank), (lam, rank)
+
+
+def test_llt_gamma_raw_matches_orbit_walk():
+    for c in small_crystals():
+        assert llt_gamma_raw(c) == tuple(llt_gamma_walk_reference(c, x) for x in range(c.size))
+
+
+def test_flood_fill_matches_union_find():
+    crystals = list(small_crystals()) + [Crystal.generate((2, 1, 1, 0), 3), Crystal.generate((3, 1, 0), 2)]
+    for c in crystals:
+        assert sorted(atom.element_ids for atom in decompose(c).atoms) == atom_components_reference(c)
+        assert bplus_components(c) == bplus_components_reference(c)
+
+
+def test_verify_rows_match_per_element_walks():
+    """The conjugated rows and the w^{-1} tables verify reads, against one walk per element."""
+    for c in small_crystals():
+        weyl = _weyl_tables(c)
+        for j, k in positive_roots(c.rank):
+            for direction, row in (("f", c._f[k - 1]), ("e", c._e[k - 1])):
+                want = [root_op_reference(c, direction, (j, k), x) for x in range(c.size)]
+                assert _conjugate(weyl, row, tuple(range(j, k))) == want
+            inverse = weyl(tuple(range(k - 1, j - 1, -1)))
+            for x, y in enumerate(inverse):
+                stats = root_string_stats_reference(c, (j, k), x)
+                assert (c.eps(k, y), c.phi(k, y)) == stats
+                assert c.weight(y)[k - 1] - c.weight(y)[k] == stats.phi - stats.eps
+        if c.rank >= 2:
+            n = c.rank
+            for beta in positive_roots(n):
+                for u in conjugators(n, beta):
+                    for direction, row in (("f", c._f[n - 1]), ("e", c._e[n - 1])):
+                        got = _conjugate(weyl, row, reduced_word(u))
+                        assert got == [tilde_op_reference(c, direction, beta, x, u) for x in range(c.size)]

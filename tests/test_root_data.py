@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_kernel_references import line_compare, perm_compose, simple_reflection, weyl_apply_weight
+from test_kernel_references import line_compare, perm_compose, root_vector, simple_reflection, weyl_apply_weight
 
 from crystalcharge.root_data import (
     LineOrder,
@@ -15,7 +15,6 @@ from crystalcharge.root_data import (
     positive_roots,
     reduced_word,
     rho_doubled,
-    root_vector,
 )
 
 # -- small strategies ---------------------------------------------------------

@@ -27,9 +27,11 @@ from dataclasses import replace
 from itertools import permutations
 
 import pytest
+from test_kernel_references import atom_components_reference
 
 from crystalcharge import charge_kostka, verify
 from crystalcharge.affine_graph import STAGE_INFINITY, AffineCoroot, apply_affine_reflection
+from crystalcharge.atoms import decompose
 from crystalcharge.crystal import Crystal, conjugating_permutation, normalize_shape
 from crystalcharge.root_data import format_weight, positive_roots, reduced_word
 from crystalcharge.verify import VerifyFailure, run_verify, sweep_shapes
@@ -127,6 +129,78 @@ def test_raised_eps_fails_constant_z_and_string_sums(monkeypatch, x):
     assert "string-sums" in {f.check for f in strings.failures}
 
 
+# (table, row i, element x, planted value) of B(SHAPE) at rank 3, and the (family, actual) failures of
+# atoms, strings and arrows it gives; measured on the per-element walks the row families replaced
+PLANTED_FAILURES = [
+    pytest.param(
+        "_si", 1, 0, 1,
+        {
+            "atoms": [("constant-z", "doubled Z values [7, 9] != 9"), ("lowering-depth", "1"),
+                      ("tilde-components", "[(0,), (4,), (6,)]")],
+            "strings": [("commutation", "2"), ("conjugator-choice", "7"), ("pairing", "2")],
+            "arrows": [("per-element-infinity", "1")],
+        },
+        id="s1-0-to-1",
+    ),
+    pytest.param(
+        "_si", 1, 2, 8,
+        {
+            "atoms": [("constant-z", "doubled Z values [5, 7, 11] != 7"), ("distinct-weights", "4 repeated weights"),
+                      ("lowering-depth", "7"), ("multiplicity", "1"), ("tilde-components", "[(0, 6), (4,)]")],
+            "strings": [("commutation", "1"), ("conjugator-choice", "12"), ("pairing", "2")],
+            "arrows": [("per-element-infinity", "4")],
+        },
+        id="s1-2-to-8",
+    ),
+    pytest.param(
+        "_eps", 1, 3, 2,
+        {"atoms": [("constant-z", "doubled Z values [7, 9] != 7")], "strings": [("string-sums", "1")], "arrows": []},
+        id="eps1-3-raised",
+    ),
+    pytest.param(
+        "_f", 3, 0, 5,
+        {
+            "atoms": [("constant-z", "doubled Z values [5, 7] != 7"), ("distinct-weights", "4 repeated weights"),
+                      ("lowering-depth", "9"), ("multiplicity", "1"), ("tilde-components", "[(0, 6), (4,)]")],
+            "strings": [("conjugator-choice", "12"), ("string-sums", "1")],
+            "arrows": [("per-element-infinity", "3")],
+        },
+        id="f3-0-leaves-its-atom",
+    ),
+    pytest.param(
+        "_f", 3, 4, None, {"atoms": [("lowering-depth", "3")], "strings": [], "arrows": []}, id="f3-4-to-none"
+    ),
+    pytest.param(
+        "_e", 3, 2, 15,
+        {"atoms": [("closure", "3")], "strings": [("conjugator-choice", "12")], "arrows": []},
+        id="e3-2-to-15",
+    ),
+    pytest.param(
+        "_f", 3, 9, 5,
+        {
+            "atoms": [("constant-z", "doubled Z values [5, 7] != 7"), ("distinct-weights", "4 repeated weights"),
+                      ("lowering-depth", "12"), ("multiplicity", "1"), ("tilde-components", "[(0, 6), (4,)]")],
+            "strings": [("string-sums", "1")],
+            "arrows": [("per-element-infinity", "3")],
+        },
+        id="f3-not-injective",
+    ),
+]
+
+
+@pytest.mark.parametrize("name, i, x, value, expected", PLANTED_FAILURES)
+def test_planted_defects_fail_the_row_families(monkeypatch, name, i, x, value, expected):
+    """Each plant gives the failures its case-by-case walks gave; the atoms are the union-find's over the same edges."""
+    corrupt_table(monkeypatch, name, i, x, value)
+    got = {
+        suite: sorted((f.check, f.actual) for f in run_verify(suite, 3, sum(SHAPE)).failures)
+        for suite in ("atoms", "strings", "arrows")
+    }
+    assert got == expected
+    c = Crystal.generate(SHAPE, 3)
+    assert sorted(atom.element_ids for atom in decompose(c).atoms) == atom_components_reference(c)
+
+
 def test_shifted_last_column_image_fails_commutation(monkeypatch):
     """tilde_op's f image along every root (j, n), j < n, shifted by one id: the sum-root commutations ending at n see it."""
     tilde_op = Crystal.tilde_op
@@ -142,12 +216,13 @@ def test_shifted_last_column_image_fails_commutation(monkeypatch):
     assert Counter(f.check for f in report.failures if f.check == "commutation") == {"commutation": 6}
 
 
-def corrupt_first_reversible_edge(monkeypatch, corrupt):
+def corrupt_first_reversible_edge(monkeypatch, corrupt, latest=False):
     """interval_graph, as verify calls it, with corrupt applied to its first reversible edge.
 
-    corrupt maps (src, dst, label, index), with src and dst vertex ids,
-    to the planted edge.  Returns a dict that collects the corrupted
-    edge's (src, dst) ids per base; restrictions share those ids.
+    With latest, the first of the reversible edges of largest index
+    instead.  corrupt maps (src, dst, label, index), with src and dst
+    vertex ids, to the planted edge.  Returns a dict that collects the
+    corrupted edge's (src, dst) ids per base; restrictions share those ids.
     """
     direct = verify.interval_graph
     corrupted = {}
@@ -158,8 +233,9 @@ def corrupt_first_reversible_edge(monkeypatch, corrupt):
         reversible = [p for p, edge in enumerate(edges) if edge[3] is not None]
         if not reversible:
             return graph
-        src, dst, label, index = edges[reversible[0]]
-        edges[reversible[0]] = corrupt(src, dst, label, index)
+        p = max(reversible, key=lambda p: (edges[p][3], -p)) if latest else reversible[0]
+        src, dst, label, index = edges[p]
+        edges[p] = corrupt(src, dst, label, index)
         corrupted[graph.base] = (src, dst)
         return replace(graph, edges=tuple(edges))
 
@@ -212,8 +288,26 @@ def test_late_edge_fails_the_wall_checks(monkeypatch):
     delayed = delay_first_reversible_edge(monkeypatch)
     arrows, swapping = run_verify("arrows", rank, max_weight), run_verify("swapping", rank, max_weight)
     assert delayed
-    assert Counter(f.check for f in arrows.failures) == {"update-rule": 8}
+    assert Counter(f.check for f in arrows.failures) == {"update-rule": 8, "stabilization": 4}
     assert Counter(f.check for f in swapping.failures) == {"three-case-delta": 8, "recharge-drop": 4}
+
+
+def test_last_edge_turned_late_fails_stabilization(monkeypatch):
+    """The last edge to turn, turned one stage late: every view holding it must fail stabilization, read from the walls."""
+    rank, max_weight = 3, 5
+    delayed = corrupt_first_reversible_edge(
+        monkeypatch, lambda src, dst, label, index: (src, dst, label, index + 1), latest=True
+    )
+    report = run_verify("arrows", rank, max_weight)
+    expected = []
+    for shape in sweep_shapes(rank, max_weight):
+        lam = normalize_shape(shape, rank)
+        top = (sum(lam),) + (0,) * rank
+        interval = verify.interval_graph(top).restrict(lam)
+        if any((src, dst) == delayed.get(top) for src, dst, _, _ in interval.edges):
+            expected.append(f"n={rank} lam'={format_weight(lam)} stabilization at stage {interval.stabilization_stage}")
+    assert len(expected) == 4
+    assert [f.case for f in report.failures if f.check == "stabilization"] == expected
 
 
 def test_miscounted_word_eps_fails_the_routes_compared_with_new(monkeypatch):
