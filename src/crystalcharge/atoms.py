@@ -4,10 +4,10 @@ Atomic decomposition of a crystal and the atomic number Z.
 The decomposition is computed as the connected components of the graph
 on crystal elements whose edges join x to s_i(x) for every simple
 reflection and to f_n(x), found by one flood fill over the id rows of
-s_1, ..., s_n and f_n; e_n is never read, so the components follow the
-edges as given even when f_n is not injective.  Each component carries pairwise-distinct
-weights forming the lower Bruhat interval below a unique dominant
-highest weight, and the atomic number
+s_1, ..., s_n and f_n.  e_n is never read, so the components follow the
+edges as given, also when f_n is not injective.  Each component carries
+pairwise-distinct weights forming the lower Bruhat interval below a
+unique dominant highest weight, and the atomic number
 
     Z(x) = <wt(x), rho^v> + sum over positive roots a of eps_a(x)
 

@@ -17,7 +17,9 @@ the word charge (standard-subword extraction and the index rule on
 reading words, no crystal operators) and the Weyl-averaged statistic
 
     gamma_n(x) = 1/(n+1)! * sum over sigma in W, i in 1..n
-                 of i * min(eps_i(sigma x), phi_i(sigma x)).
+                 of i * min(eps_i(sigma x), phi_i(sigma x)),
+
+computed for every element at once, by gathers of the s_i rows.
 
 Between the endpoints sits the stagewise recharge
 r_m(x) = Z(x) - Arr_m(x), where the arrow count is taken in the twisted

@@ -24,6 +24,14 @@ suite, in SUITES order, on one _Shape.  A suite that reads the shape's
 crystal or its decomposition builds it on first read, and the shapes
 of one run share the stage views of each interval and the wall tables
 of each I((k,0,...,0)).  Views and walls are read by vertex id.
+
+The crystal is read by rows, indexed by element id.  A family that
+needs f_beta = w f_k w^{-1}, a root string or a conjugator's operator on
+every element composes the s_i rows into the crystal permutation of
+each word once per shape (_weyl_tables), and gathers the f_k or e_k row
+between w^{-1} and w (_conjugate); w^{-1} = s_(k-1) ... s_j applies s_j
+first, and no permutation is inverted.  The stabilization family reads
+the wall tables, never the edges.
 """
 
 from __future__ import annotations

@@ -2,7 +2,8 @@
 
 apply_affine_reflection and bruhat_leq_dominant work on two coordinates
 or on a sorted copy in place.  The references below are their earlier
-forms, through root_vector and sorted(mu, reverse=True); they are
+forms, through root_vector (a test helper: the package keeps no root
+vectors) and sorted(mu, reverse=True); they are
 compared on every weight below each dominant weight of size <= 6 at
 ranks 1-3, errors and messages included.  line_decompose, which the
 package used until its one order test became line_order, works on two
@@ -14,9 +15,26 @@ s_i follow from eps_i and the weight (phi_i - eps_i = wt_i - wt_{i+1});
 the references walk the i-strings of the f_i and e_i tables instead, on
 every element of every crystal of size <= 6 at ranks 1-4.
 
-llt_gamma_raw walks the Weyl orbit of an element once along a coset
-tree; the reference reduces each of the (n+1)! permutations to a word
-and applies it, on the same elements.
+llt_gamma_raw sums over the Weyl group for the whole crystal at once:
+for each k, the sums over S_(k+1) are the sums over S_k gathered along
+the s_k, ..., s_1 rows.  Two references give each element's sum on its
+own: llt_gamma_walk_reference, the walk of one orbit along the cosets
+s_j ... s_k S_k that llt_gamma_raw was before, and
+llt_gamma_raw_reference, which reduces each of the (n+1)! permutations to
+a word and applies it.  The row composes each permutation from another
+word than the walk, so the two agree only where the s_i rows are a
+group action, as on every crystal here.
+
+decompose finds the atoms by one flood fill over the s_i and f_n rows,
+and bplus_components over the tilde rows of the dominant elements; the
+references are the union-find over the same edges, one element at a
+time, that both used before.  verify reads f_beta = w f_k w^{-1}, the
+root strings and the conjugators' operators as rows (_conjugate over
+_weyl_tables); the references are root_op_reference and
+root_string_stats_reference, one walk per element, which were
+Crystal.root_op and Crystal.root_string_stats, and tilde_op_reference.
+All are compared on every element of the crystals of size <= 6 at ranks
+1-4.
 
 weyl_dimension collapses Weyl's pairwise product over blocks of equal
 parts into binomials; the reference is the pairwise product in exact
@@ -69,8 +87,9 @@ reflection, and on each stage-0 view with every coroot that fits.
 
 The permutation helpers (perm_compose, simple_reflection,
 weyl_apply_weight, and weyl_act along the crystal's s_i),
-is_semistandard, line_decompose and line_compare are oracles for the
-other test modules; the package itself needs none of them.
+is_semistandard, line_decompose, line_compare, root_vector and the
+per-element references above are oracles for the other test modules;
+the package itself needs none of them.
 """
 
 from fractions import Fraction

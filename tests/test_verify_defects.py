@@ -1,11 +1,18 @@
-"""Planted defects that the table-driven checks of the verify suites must report.
+"""Planted defects that the row-driven checks of the verify suites must report.
 
-conjugator-choice composes s_i rows into crystal permutations, and the
-Weyl average reads a per-element summand table; a crystal with one
-corrupted s_i image must still fail conjugator-choice, with the count a
-case-by-case comparison of tilde_op gives, and gamma-divisible or
-charge=gamma.  phi is eps plus the weight pairing, so a crystal with one
-raised eps_1 must fail constant-z and string-sums, which compare eps
+The families that conjugate operators read the crystal by rows: they
+compose s_i rows into crystal permutations and gather the f_n, e_n or
+f_(i+1) row between them, and the Weyl average gathers a per-element
+summand along the s_i rows.  A plant in one table entry of B(2,1,0,0)
+at rank 3, an s_i image, a raised eps_1, an f_3 image that leaves its
+atom, an f_3 image removed, an e_3 image moved or an f_3 made
+non-injective, must give in atoms, strings and arrows the failures, with
+their counts, that the per-element walks the rows replaced gave.  The
+atoms under each plant are the union-find's over the same s_i and f_n
+edges, whatever e_n holds.  conjugator-choice must also count what a
+case-by-case comparison of tilde_op gives, and the s_i plants fail
+gamma-divisible or charge=gamma.  phi is eps plus the weight pairing, so
+a raised eps_1 must fail constant-z and string-sums, which compare eps
 across elements.  edge-labels counts each view's bad edges from the
 interval's edges, reflecting each edge once per orientation; a graph
 with one corrupted label must fail that family in every view holding the
@@ -13,8 +20,11 @@ edge, with the counts the views' own edge lists give.  The wall checks
 read one pass over each stage view; a graph whose first reversible edge
 turns one stage late must fail the arrows update rule and swapping's
 three-case delta and recharge drop as often as the per-vertex walk they
-replaced did.  kostka's "new" route reads eps on reading words through
-charge_kostka's unmatched_letters; a kernel that counts one unmatched 2 too many must
+replaced did, and stabilization wherever that edge had the largest
+index.  stabilization reads the wall tables: a graph whose last edge to
+turn turns one stage late must fail it in every view holding that edge.
+kostka's "new" route reads eps on reading words through charge_kostka's
+unmatched_letters; a kernel that counts one unmatched 2 too many must
 fail new=ls, new=llt and reconstruction, which compare that route with
 routes that do not use it, and leave charge=gamma, which reads the
 tables, passing.  Every suite of one run reads one crystal per shape, so
