@@ -25,7 +25,6 @@ from .root_data import (
     Weight,
     bruhat_below,
     is_dominant,
-    positive_roots,
     rho_doubled,
 )
 
@@ -123,26 +122,27 @@ def decompose(crystal: Crystal) -> AtomDecomposition:
     """Split the crystal into atoms.
 
     Components are found by a flood fill over the generator rows s_1,
-    ..., s_n and f_n; full Weyl-orbit edges are redundant.  Z is
-    evaluated once per atom, at its highest-weight element.
+    ..., s_n and f_n; full Weyl-orbit edges are redundant.  Each distinct
+    weight of a component is checked once.  Z is evaluated once per
+    atom, at its highest-weight element.
     """
-    n = crystal.rank
+    n, weights = crystal.rank, crystal.weights
     rows = [crystal.si_row(i) for i in range(1, n + 1)] + [crystal._f[n - 1]]
     atoms = []
     for members in map(sorted, _components(crystal.size, rows)):
-        dominant_members = [x for x in members if is_dominant(crystal.weight(x))]
-        if not dominant_members:
-            raise AtomStructureError("component without a dominant weight")
-        top = max(dominant_members, key=lambda x: rho_doubled(crystal.weight(x)))
-        highest = crystal.weight(top)
-        below = bruhat_below(highest)
+        # each distinct weight once, with its least member, in the order of those members
+        first: dict[Weight, int] = {}
         for x in members:
-            if not below(crystal.weight(x)):
-                raise AtomStructureError(
-                    f"component weight {crystal.weight(x)} not below candidate "
-                    f"highest weight {highest}"
-                )
-        atoms.append(Atom(highest, tuple(members), atomic_number(crystal, top)))
+            first.setdefault(weights[x], x)
+        dominant = [mu for mu in first if is_dominant(mu)]
+        if not dominant:
+            raise AtomStructureError("component without a dominant weight")
+        highest = max(dominant, key=rho_doubled)
+        below = bruhat_below(highest)
+        for mu in first:
+            if not below(mu):
+                raise AtomStructureError(f"component weight {mu} not below candidate highest weight {highest}")
+        atoms.append(Atom(highest, tuple(members), atomic_number(crystal, first[highest])))
 
     atoms.sort(key=lambda atom: (atom.highest_weight, -atom.element_ids[0]), reverse=True)
     member_of = [0] * crystal.size
@@ -157,12 +157,11 @@ def bplus_components(crystal: Crystal) -> tuple[tuple[int, ...], ...]:
 
     Vertices are the elements of dominant weight, with an undirected
     edge between x and the image of x under the conjugated lowering
-    operator for each positive root, whenever that image is defined and
-    has dominant weight.
+    operator u f_n u^{-1} for each positive root, whenever that image is
+    defined and has dominant weight.  The images are read from the
+    crystal's conjugated rows (Crystal.tilde_rows), one per root.
     """
     vertices = [x for x in range(crystal.size) if is_dominant(crystal.weight(x))]
     position = {x: idx for idx, x in enumerate(vertices)}
-    rows = [
-        [position.get(crystal.tilde_op("f", beta, x)) for x in vertices] for beta in positive_roots(crystal.rank)
-    ]
+    rows = [list(map(position.get, map(row.__getitem__, vertices))) for row in crystal.tilde_rows.values()]
     return tuple(sorted(tuple(sorted(vertices[p] for p in members)) for members in _components(len(vertices), rows)))

@@ -20,28 +20,36 @@ walks wt_i - wt_{i+1} steps along the finished f_i row, or as many back
 along e_i.
 
 On top of the simple operators the module provides the Weyl group
-action (s_i reverses each i-string), the modified operators
-f_a = w f_k w^{-1} with w = s_j ... s_{k-1} for a = a_{j,k}, and the
-operators obtained by conjugating f_n, e_n with the order-preserving u
-satisfying u(a_n) = a (every such u gives the same operator).
+action (s_i reverses each i-string) and one conjugation routine, by
+rows indexed by id.  weyl_row composes the s_i rows into the crystal
+permutation of a word, memoised per crystal, and conjugate gathers the
+f_k or e_k row between u^{-1} and u; u^{-1} applies the word's first
+letter first, and no permutation is inverted.  So f_a = w f_k w^{-1}
+with w = s_j ... s_{k-1} for a = a_{j,k} is one conjugated row, and
+tilde_rows holds f_n conjugated by the order-preserving u with
+u(a_n) = a for every positive root a (every such u gives the same
+operator).
 
 Generating a crystal enumerates its tableaux and computes their
 weights, the elements of each weight, the highest element and the f_i,
 e_i, eps_i and s_i tables.  A Crystal is immutable once generated; all
-queries are pure and safe to call from any number of threads.
+queries are pure and safe to call from any number of threads (two first
+reads of one memoised row compute the same row).
 """
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
-from itertools import chain, permutations
+from functools import cached_property
+from itertools import chain, compress, permutations
 from math import comb
+from operator import lt, ne
 from typing import Iterator, Optional, Sequence
 
 from .root_data import (
     Permutation,
     Root,
     Weight,
+    positive_roots,
     reduced_word,
 )
 
@@ -65,13 +73,12 @@ def normalize_shape(parts: tuple[int, ...], rank: int) -> Weight:
     if rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
     parts = tuple(parts)
-    if any(p < 0 for p in parts):
+    if min(parts, default=0) < 0:
         raise ValueError(f"shape {parts} has negative parts")
-    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+    if any(map(lt, parts, parts[1:])):
         raise ValueError(f"shape {parts} is not weakly decreasing")
-    stripped = parts
-    while stripped and stripped[-1] == 0:
-        stripped = stripped[:-1]
+    # weakly decreasing and nonnegative: the zeros are the tail
+    stripped = parts[: len(parts) - parts.count(0)]
     if len(stripped) > rank + 1:
         raise ValueError(
             f"shape {parts} has {len(stripped)} nonzero parts; at most {rank + 1} allowed at rank {rank}"
@@ -92,7 +99,7 @@ def weyl_dimension(shape: tuple[int, ...], rank: int) -> int:
     8
     """
     lam = normalize_shape(shape, rank)
-    starts = [r for r in range(1, rank + 1) if lam[r] != lam[r - 1]]
+    starts = list(compress(range(1, rank + 1), map(ne, lam[1:], lam)))
     numerator = denominator = 1
     for i in range(starts[-1] if starts else 0):
         for s, e in zip(starts, starts[1:] + [rank + 1]):
@@ -221,15 +228,6 @@ def conjugators(rank: int, beta: Root) -> Iterator[Permutation]:
         yield (*assignment, j - 1, k)
 
 
-@lru_cache(maxsize=None)
-def conjugating_permutation(rank: int, beta: Root) -> Permutation:
-    """The order-preserving u in S_{n+1} with u(a_n) = beta.
-
-    It keeps the relative order of the letters other than n and n+1.
-    """
-    return next(conjugators(rank, beta))
-
-
 class Crystal:
     """The crystal of all semistandard tableaux of one shape.
 
@@ -332,27 +330,44 @@ class Crystal:
             y = self._si[i - 1][y]
         return y
 
-    # -- operators conjugated from the last simple root -------------------
+    # -- conjugation by words in the s_i ------------------------------------
 
-    def tilde_op(self, direction: str, beta: Root, x: int) -> Optional[int]:
-        """u f_n u^{-1} (resp. e_n), u the order-preserving permutation with u(a_n) = beta.
+    @cached_property
+    def _weyl_rows(self) -> dict[tuple[int, ...], tuple[int, ...]]:
+        return {(): tuple(range(self.size))}
 
-        Every u with u(a_n) = beta gives the same operator; verify's
-        conjugator-choice family checks the others against this one.
+    def weyl_row(self, word: tuple[int, ...]) -> tuple[int, ...]:
+        """The crystal permutation of s_(i_1) ... s_(i_r) for word = (i_1, ..., i_r), indexed by id.
+
+        Each row is the s_(i_1) row read at the row of the rest of the
+        word, kept per crystal, so words sharing a suffix compose it once.
+        """
+        rows = self._weyl_rows
+        if word not in rows:
+            rows[word] = tuple(map(self._si[word[0] - 1].__getitem__, self.weyl_row(word[1:])))
+        return rows[word]
+
+    def conjugate(self, direction: str, k: int, word: tuple[int, ...]) -> list[Optional[int]]:
+        """u f_k u^{-1} (resp. e_k) of every element, u = s_(i_1) ... s_(i_r) for word = (i_1, ..., i_r).
+
+        None where f_k (resp. e_k) vanishes.  u^{-1} applies s_(i_1)
+        first and u applies it last, each as one row.
         """
         if direction not in ("f", "e"):
             raise ValueError(f"unknown operator direction {direction!r}")
-        word = reduced_word(conjugating_permutation(self.rank, beta))
-        # u^{-1} is the reversed word, applied rightmost letter first: read u's word forward
-        y: Optional[int] = x
-        for i in word:
-            y = self._si[i - 1][y]
-        y = (self._f if direction == "f" else self._e)[self.rank - 1][y]
-        if y is None:
-            return None
-        for i in reversed(word):
-            y = self._si[i - 1][y]
-        return y
+        row = (self._f if direction == "f" else self._e)[k - 1]
+        back = self.weyl_row(word)
+        return [None if y is None else back[y] for y in map(row.__getitem__, self.weyl_row(word[::-1]))]
+
+    @cached_property
+    def tilde_rows(self) -> dict[Root, list[Optional[int]]]:
+        """u f_n u^{-1} of every element for each positive root beta, u the order-preserving conjugator.
+
+        The order-preserving u with u(a_n) = beta is the first that
+        conjugators() yields; built on first use.
+        """
+        n = self.rank
+        return {beta: self.conjugate("f", n, reduced_word(next(conjugators(n, beta)))) for beta in positive_roots(n)}
 
     @cached_property
     def gamma_summands(self) -> tuple[int, ...]:

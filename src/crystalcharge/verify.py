@@ -25,13 +25,15 @@ crystal or its decomposition builds it on first read, and the shapes
 of one run share the stage views of each interval and the wall tables
 of each I((k,0,...,0)).  Views and walls are read by vertex id.
 
-The crystal is read by rows, indexed by element id.  A family that
-needs f_beta = w f_k w^{-1}, a root string or a conjugator's operator on
-every element composes the s_i rows into the crystal permutation of
-each word once per shape (_weyl_tables), and gathers the f_k or e_k row
-between w^{-1} and w (_conjugate); w^{-1} = s_(k-1) ... s_j applies s_j
-first, and no permutation is inverted.  The stabilization family reads
-the wall tables, never the edges.
+The crystal is read by rows, indexed by element id, through its one
+conjugation routine.  A family that needs f_beta = w f_k w^{-1}, a root
+string or a conjugator's operator on every element reads the crystal
+permutation of each word (Crystal.weyl_row, composed once per crystal)
+and the f_k or e_k row gathered between w^{-1} and w
+(Crystal.conjugate); w^{-1} = s_(k-1) ... s_j applies s_j first, and no
+permutation is inverted.  commutation reads the tilde rows, one f_n
+row per root (Crystal.tilde_rows).  The stabilization family reads the
+wall tables, never the edges.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from functools import cached_property
 from itertools import accumulate
 from math import factorial
 from operator import add, ne, sub
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from .affine_graph import (
     STAGE_INFINITY,
@@ -149,10 +151,6 @@ class _Shape:
     @cached_property
     def decomposition(self) -> AtomDecomposition:
         return decompose(self.crystal)
-
-    @cached_property
-    def weyl(self) -> Callable[[tuple[int, ...]], list[int]]:
-        return _weyl_tables(self.crystal)
 
     def views(self, h: Weight) -> list[TwistedGraph]:
         """The views of I(h) at stages 0..M, then at infinity, built once per run.
@@ -308,17 +306,17 @@ def check_atoms(report: VerifyReport, shape: _Shape) -> None:
             holding,
         )
 
-    member_of, weyl = dec.member_of, shape.weyl
+    member_of = dec.member_of
     bad_closure = 0
     bad_iff = 0
     for j in range(1, rank + 1):
         # beta = (j, n): f_beta = w f_n w^{-1} with w = s_j ... s_(n-1), and e_beta likewise
         word = tuple(range(j, rank))
-        for row in (c._f[rank - 1], c._e[rank - 1]):
-            images = _conjugate(weyl, row, word)
+        for direction in ("f", "e"):
+            images = c.conjugate(direction, rank, word)
             bad_closure += sum(1 for x, y in enumerate(images) if y is not None and member_of[y] != member_of[x])
         # f_beta^k = w f_n^k w^{-1}: conjugate once, then one f_n step per power
-        for x, y in enumerate(weyl(word[::-1])):
+        for x, y in enumerate(c.weyl_row(word[::-1])):
             mu, interval = c.weight(x), intervals[member_of[x]]
             k = 1
             while True:
@@ -339,40 +337,15 @@ def check_atoms(report: VerifyReport, shape: _Shape) -> None:
 # -- suite: strings ------------------------------------------------------------
 
 
-def _weyl_tables(c: Crystal) -> Callable[[tuple[int, ...]], list[int]]:
-    """(i_1, ..., i_r) -> the crystal permutation of s_(i_1) ... s_(i_r), indexed by id.
-
-    Each table is the s_(i_1) row read at the table of the rest of the
-    word, so words sharing a suffix compose it once.
-    """
-    tables: dict[tuple[int, ...], list[int]] = {(): list(range(c.size))}
-
-    def table(word: tuple[int, ...]) -> list[int]:
-        if word not in tables:
-            tables[word] = list(map(c.si_row(word[0]).__getitem__, table(word[1:])))
-        return tables[word]
-
-    return table
-
-
-def _conjugate(weyl: Callable[[tuple[int, ...]], list[int]], row: Sequence, word: tuple[int, ...]) -> list[Optional[int]]:
-    """u row[.] u^{-1} of every element, u = s_(i_1) ... s_(i_r) for word = (i_1, ..., i_r); None where row is.
-
-    u^{-1} applies s_(i_1) first and u applies it last, each as one table.
-    """
-    back = weyl(word)
-    return [None if y is None else back[y] for y in map(row.__getitem__, weyl(word[::-1]))]
-
-
 def check_strings(report: VerifyReport, shape: _Shape) -> None:
-    rank, c, base, weyl = shape.rank, shape.crystal, shape.case, shape.weyl
+    rank, c, base = shape.rank, shape.crystal, shape.case
     roots = positive_roots(rank)
     weights = c.weights
 
     # phi_beta - eps_beta is the weight pairing at w^{-1} x by definition, so this checks that s_i moves weights
     bad = 0
     for j, k in roots:
-        for mu, nu in zip(weights, map(weights.__getitem__, weyl(tuple(range(k - 1, j - 1, -1))))):
+        for mu, nu in zip(weights, map(weights.__getitem__, c.weyl_row(tuple(range(k - 1, j - 1, -1))))):
             if nu[k - 1] - nu[k] != mu[j - 1] - mu[k]:
                 bad += 1
     report.tally("pairing", f"{base} phi-eps pairing identity", bad)
@@ -380,7 +353,7 @@ def check_strings(report: VerifyReport, shape: _Shape) -> None:
     bad = 0
     for i in range(1, rank):
         # f_(i,i+1) = s_i f_(i+1) s_i
-        for x, y in enumerate(_conjugate(weyl, c._f[i], (i,))):
+        for x, y in enumerate(c.conjugate("f", i + 1, (i,))):
             if y is None:
                 continue
             if c.eps(i, x) + c.phi(i + 1, x) != c.eps(i, y) + c.phi(i + 1, y):
@@ -389,16 +362,16 @@ def check_strings(report: VerifyReport, shape: _Shape) -> None:
 
     if rank >= 3:
         bad = 0
-        last = (c._f[rank - 1], c._e[rank - 1])
         for beta in roots:
             first, *others = map(reduced_word, conjugators(rank, beta))
             # the order-preserving conjugator comes first; every other must give its operators
-            expected = [_conjugate(weyl, row, first) for row in last]
+            expected = [c.conjugate(direction, rank, first) for direction in "fe"]
             for word in others:
-                for row, want in zip(last, expected):
-                    bad += sum(map(ne, _conjugate(weyl, row, word), want))
+                for direction, want in zip("fe", expected):
+                    bad += sum(map(ne, c.conjugate(direction, rank, word), want))
         report.tally("conjugator-choice", f"{base} conjugator choice independence", bad)
 
+    tilde = c.tilde_rows
     bad = 0
     for x in range(c.size):
         mu = c.weight(x)
@@ -411,11 +384,11 @@ def check_strings(report: VerifyReport, shape: _Shape) -> None:
                     alpha, beta = (j, split), (split + 1, k)
                     if pairing(mu, alpha) <= 0 or pairing(mu, beta) <= 0:
                         continue
-                    via_ab = c.tilde_op("f", alpha, x)
-                    via_ab = via_ab if via_ab is None else c.tilde_op("f", beta, via_ab)
-                    via_ba = c.tilde_op("f", beta, x)
-                    via_ba = via_ba if via_ba is None else c.tilde_op("f", alpha, via_ba)
-                    direct = c.tilde_op("f", gamma, x)
+                    via_ab = tilde[alpha][x]
+                    via_ab = via_ab if via_ab is None else tilde[beta][via_ab]
+                    via_ba = tilde[beta][x]
+                    via_ba = via_ba if via_ba is None else tilde[alpha][via_ba]
+                    direct = tilde[gamma][x]
                     if direct is None or via_ab != direct or via_ba != direct:
                         bad += 1
     report.tally("commutation", f"{base} sum-root commutation on dominant elements", bad)
@@ -479,7 +452,7 @@ def check_arrows(report: VerifyReport, shape: _Shape) -> None:
     phi_n = [c.phi(rank, y) for y in range(c.size)]
     formula = [0] * c.size
     for j in range(1, rank + 1):
-        formula = list(map(add, formula, map(phi_n.__getitem__, shape.weyl(tuple(range(rank - 1, j - 1, -1))))))
+        formula = list(map(add, formula, map(phi_n.__getitem__, c.weyl_row(tuple(range(rank - 1, j - 1, -1))))))
     parabolic = [beta for beta in positive_roots(rank) if in_parabolic(beta, rank)]
     bad = 0
     for x, phi_sum in enumerate(formula):

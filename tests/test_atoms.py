@@ -8,6 +8,7 @@ from test_kernel_references import root_op_reference, root_string_stats_referenc
 from crystalcharge.affine_graph import build_interval
 from crystalcharge.atoms import (
     Atom,
+    AtomStructureError,
     atomic_number,
     bplus_components,
     decompose,
@@ -259,3 +260,22 @@ def test_sweep_decompositions_are_sound():
             crystal = Crystal.generate(shape, rank)
             dec = decompose(crystal)  # raises AtomStructureError on violation
             assert sum(atom.size for atom in dec.atoms) == crystal.size
+
+
+@pytest.mark.parametrize(
+    "plants, message",
+    [
+        # two weights above (2,1,0,0) in the atom of elements 0..19 minus 4, 5, 8, 15: the least member's is named
+        ({9: (0, 3, 0, 0), 3: (0, 0, 0, 3)}, "component weight (0, 0, 0, 3) not below candidate highest weight (2, 1, 0, 0)"),
+        # the top's weight lowered: the atom's highest weight becomes (1,1,1,0), and its first member above it is named
+        ({0: (1, 1, 1, 0)}, "component weight (2, 0, 1, 0) not below candidate highest weight (1, 1, 1, 0)"),
+    ],
+    ids=["two-above", "lowered-top"],
+)
+def test_planted_weight_fails_decompose_with_first_member_message(plants, message):
+    """decompose checks each distinct weight once, in the order of its least member, as the member-by-member check did."""
+    c = Crystal.generate((2, 1, 0, 0), 3)
+    c.weights = tuple(plants.get(x, mu) for x, mu in enumerate(c.weights))
+    with pytest.raises(AtomStructureError) as error:
+        decompose(c)
+    assert str(error.value) == message

@@ -3,6 +3,8 @@
 import json
 import os
 import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -319,6 +321,23 @@ def test_size_cap_exits_2(capsys):
     )
     assert status == 2
     assert "cap" in err
+
+
+def test_size_cap_at_a_huge_rank_exits_2_at_once():
+    """B(1) at rank 2,000,000 has 2,000,001 elements: the cap check strips and pads the shape in linear time.
+
+    Refused in about 0.6 s, interpreter start included; a check quadratic
+    in the rank runs for hours, so the subprocess timeout ends it.
+    """
+    argv = ["atoms", "--rank", "2000000", "--weight", "1"]
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys; from crystalcharge.cli import main; sys.exit(main(sys.argv[1:]))"
+    done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=5)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: crystal of shape (1, 0, 0, ")
+    assert done.stderr.endswith(") at rank 2000000 has 2000001 elements, exceeding the cap of 2000000\n")
+    assert done.stderr.count("\n") == 1
 
 
 def test_bad_rank_exits_2(capsys):

@@ -6,6 +6,7 @@ from itertools import product
 
 import pytest
 from test_kernel_references import (
+    conjugating_permutation,
     crystal_reference,
     is_semistandard,
     perm_compose,
@@ -27,12 +28,11 @@ from crystalcharge.crystal import (
     Crystal,
     CrystalSizeError,
     CrystalStructureError,
-    conjugating_permutation,
     normalize_shape,
     semistandard_tableaux,
     weyl_dimension,
 )
-from crystalcharge.root_data import pairing, positive_roots
+from crystalcharge.root_data import pairing, positive_roots, reduced_word
 from crystalcharge.verify import run_verify
 
 
@@ -147,7 +147,7 @@ def test_rank_zero_is_rejected(call):
 
 def test_op_rejects_unknown_direction(c20):
     with pytest.raises(ValueError):
-        c20.tilde_op("g", (1, 1), 0)
+        c20.conjugate("g", 1, ())
     with pytest.raises(ValueError):
         c20.root_op_power("g", (1, 1), 0, 1)
 
@@ -394,11 +394,11 @@ def test_tilde_equals_root_op_on_last_column(c210, c2100):
         n = crystal.rank
         for j in range(1, n + 1):
             beta = (j, n)
-            for x in range(crystal.size):
-                for direction in ("f", "e"):
-                    assert crystal.tilde_op(direction, beta, x) == root_op_reference(
-                        crystal, direction, beta, x
-                    )
+            word = reduced_word(conjugating_permutation(n, beta))
+            assert crystal.tilde_rows[beta] == crystal.conjugate("f", n, word)
+            for direction in ("f", "e"):
+                row = crystal.conjugate(direction, n, word)
+                assert row == [root_op_reference(crystal, direction, beta, x) for x in range(crystal.size)]
 
 
 def test_tilde_choice_independence(c2100):
@@ -417,20 +417,21 @@ def test_tilde_choice_independence(c2100):
         assert len(conjugators) >= 2
         for u in conjugators:
             for x in range(c2100.size):
-                assert tilde_op_reference(c2100, "f", beta, x, u) == c2100.tilde_op("f", beta, x)
+                assert tilde_op_reference(c2100, "f", beta, x, u) == c2100.tilde_rows[beta][x]
 
 
 def test_tilde_commutation_on_dominant(c210):
     from crystalcharge.root_data import is_dominant
 
+    tilde = c210.tilde_rows
     for x in range(c210.size):
         mu = c210.weights[x]
         if not is_dominant(mu):
             continue
         if pairing(mu, (1, 1)) > 0 and pairing(mu, (2, 2)) > 0:
-            ab = c210.tilde_op("f", (2, 2), c210.tilde_op("f", (1, 1), x))
-            ba = c210.tilde_op("f", (1, 1), c210.tilde_op("f", (2, 2), x))
-            direct = c210.tilde_op("f", (1, 2), x)
+            ab = tilde[2, 2][tilde[1, 1][x]]
+            ba = tilde[1, 1][tilde[2, 2][x]]
+            direct = tilde[1, 2][x]
             assert direct is not None
             assert ab == ba == direct
 
@@ -500,13 +501,13 @@ def test_table_queries_build_once(table_builds, query):
     for i in range(1, TABLE_RANK + 1):
         for x in range(c.size):
             c.f(i, x), c.e(i, x), c.eps(i, x), c.phi(i, x), c.si(i, x)
-    assert c.tilde_op("f", (1, TABLE_RANK), c.highest) is not None
+    assert c.tilde_rows[1, TABLE_RANK][c.highest] is not None
     assert table_builds == [TABLE_RANK]
 
 
 @pytest.mark.parametrize(
     "first_read",
-    [lambda c: c.si(1, 0), lambda c: c.eps(2, 0), lambda c: c.tilde_op("e", (1, 2), c.size - 1)],
+    [lambda c: c.si(1, 0), lambda c: c.eps(2, 0), lambda c: c.tilde_rows[1, 2][c.size - 1]],
     ids=["si", "eps", "tilde_op"],
 )
 @pytest.mark.parametrize("shape, rank", [((2, 1, 0), 2), ((3, 2, 1, 0), 3), ((2, 2, 1, 0, 0), 4)])

@@ -28,13 +28,15 @@ group action, as on every crystal here.
 decompose finds the atoms by one flood fill over the s_i and f_n rows,
 and bplus_components over the tilde rows of the dominant elements; the
 references are the union-find over the same edges, one element at a
-time, that both used before.  verify reads f_beta = w f_k w^{-1}, the
-root strings and the conjugators' operators as rows (_conjugate over
-_weyl_tables); the references are root_op_reference and
+time, that both used before.  The crystal's one conjugation routine
+gives f_beta = w f_k w^{-1}, the root strings, the conjugators'
+operators and the tilde rows as rows (Crystal.conjugate over
+Crystal.weyl_row); the references are root_op_reference and
 root_string_stats_reference, one walk per element, which were
 Crystal.root_op and Crystal.root_string_stats, and tilde_op_reference.
 All are compared on every element of the crystals of size <= 6 at ranks
-1-4.
+1-4, and bplus_components, which reads the tilde rows, against the
+union-find over tilde_op, one element at a time.
 
 weyl_dimension collapses Weyl's pairwise product over blocks of equal
 parts into binomials; the reference is the pairwise product in exact
@@ -47,11 +49,12 @@ pass per (i, element) and rebuilds each image as a tuple of rows.  The
 tableau enumeration caps each cell by the room its column needs below;
 the reference is the uncapped loop, which backs out of dead ends.
 
-tilde_op conjugates by the order-preserving u and applies u^{-1} by
-reading a reduced word of u forward; the reference takes any conjugator
-u, inverts it and applies the inverse along a reduced word of its own.
-They must agree for every conjugator, on every element and root of the
-crystals of size <= 6 at ranks 1-4.  The conjugators are the
+tilde_op, which was Crystal.tilde_op, conjugates one element by the
+order-preserving u and applies u^{-1} by reading a reduced word of u
+forward; the reference takes any conjugator u, inverts it and applies
+the inverse along a reduced word of its own.  They must agree for every
+conjugator, on every element and root of the crystals of size <= 6 at
+ranks 1-4.  The conjugators are the
 permutations with u(a_n) = a, filtered from all of them; conjugators()
 must list them in the same lexicographic order, the order-preserving
 one first.  atomic_number walks once per j and reads eps_k before each
@@ -109,7 +112,6 @@ from crystalcharge.atoms import atomic_number, bplus_components, decompose
 from crystalcharge.charge_kostka import HalfLaurentPolynomial, charge, kostka, llt_gamma_raw, word_eps_sum
 from crystalcharge.crystal import (
     Crystal,
-    conjugating_permutation,
     conjugators,
     reading_word,
     semistandard_tableaux,
@@ -129,7 +131,7 @@ from crystalcharge.root_data import (
     reduced_word,
     rho_doubled,
 )
-from crystalcharge.verify import _conjugate, _Shape, _weyl_tables
+from crystalcharge.verify import _Shape
 
 
 def perm_compose(v, w):
@@ -239,7 +241,7 @@ def bplus_components_reference(c):
         (position[x], position[y])
         for x in vertices
         for beta in positive_roots(c.rank)
-        if (y := c.tilde_op("f", beta, x)) in position
+        if (y := tilde_op(c, "f", beta, x)) in position
     ]
     return tuple(tuple(vertices[p] for p in members) for members in union_find_components(len(vertices), edges))
 
@@ -394,6 +396,34 @@ def llt_gamma_raw_reference(c, x):
         y = weyl_act(c, perm, x)
         total += sum(i * min(c.eps(i, y), c.phi(i, y)) for i in range(1, n + 1))
     return total
+
+
+def conjugating_permutation(rank, beta):
+    """The order-preserving u in S_{n+1} with u(a_n) = beta: it keeps the relative order of the other letters."""
+    return next(conjugators(rank, beta))
+
+
+def conjugated_op(c, direction, x, u):
+    """u f_n u^{-1} (resp. e_n) of one element along c.si, u^{-1} applied as u's reduced word read forward.
+
+    Crystal.conjugate composes u^{-1} the same way; a reduced word of
+    u^{-1} of its own can differ from it, and then a corrupted s_i gives
+    another image.
+    """
+    word = reduced_word(u)
+    for i in word:
+        x = c.si(i, x)
+    x = (c.f if direction == "f" else c.e)(c.rank, x)
+    if x is None:
+        return None
+    for i in reversed(word):
+        x = c.si(i, x)
+    return x
+
+
+def tilde_op(c, direction, beta, x):
+    """u f_n u^{-1} (resp. e_n) of one element, u the order-preserving conjugator; was Crystal.tilde_op."""
+    return conjugated_op(c, direction, x, conjugating_permutation(c.rank, beta))
 
 
 def tilde_op_reference(c, direction, beta, x, u):
@@ -703,7 +733,7 @@ def test_tilde_op_matches_inverse_permutation_walk():
             for u in every:
                 for x in range(c.size):
                     for direction in ("f", "e"):
-                        assert c.tilde_op(direction, beta, x) == tilde_op_reference(c, direction, beta, x, u)
+                        assert tilde_op(c, direction, beta, x) == tilde_op_reference(c, direction, beta, x, u)
 
 
 def test_atomic_number_matches_per_root_sum():
@@ -785,22 +815,23 @@ def test_flood_fill_matches_union_find():
 
 
 def test_verify_rows_match_per_element_walks():
-    """The conjugated rows and the w^{-1} tables verify reads, against one walk per element."""
+    """The crystal's conjugated rows and w^{-1} rows, which verify reads, against one walk per element."""
     for c in small_crystals():
-        weyl = _weyl_tables(c)
-        for j, k in positive_roots(c.rank):
-            for direction, row in (("f", c._f[k - 1]), ("e", c._e[k - 1])):
+        n = c.rank
+        for j, k in positive_roots(n):
+            for direction in ("f", "e"):
                 want = [root_op_reference(c, direction, (j, k), x) for x in range(c.size)]
-                assert _conjugate(weyl, row, tuple(range(j, k))) == want
-            inverse = weyl(tuple(range(k - 1, j - 1, -1)))
+                assert c.conjugate(direction, k, tuple(range(j, k))) == want
+            inverse = c.weyl_row(tuple(range(k - 1, j - 1, -1)))
             for x, y in enumerate(inverse):
                 stats = root_string_stats_reference(c, (j, k), x)
                 assert (c.eps(k, y), c.phi(k, y)) == stats
                 assert c.weight(y)[k - 1] - c.weight(y)[k] == stats.phi - stats.eps
-        if c.rank >= 2:
-            n = c.rank
-            for beta in positive_roots(n):
-                for u in conjugators(n, beta):
-                    for direction, row in (("f", c._f[n - 1]), ("e", c._e[n - 1])):
-                        got = _conjugate(weyl, row, reduced_word(u))
-                        assert got == [tilde_op_reference(c, direction, beta, x, u) for x in range(c.size)]
+        for beta in positive_roots(n):
+            for u in conjugators(n, beta):
+                for direction in ("f", "e"):
+                    got = c.conjugate(direction, n, reduced_word(u))
+                    assert got == [tilde_op_reference(c, direction, beta, x, u) for x in range(c.size)]
+            assert c.tilde_rows[beta] == [tilde_op(c, "f", beta, x) for x in range(c.size)]
+        assert tuple(c.tilde_rows) == positive_roots(n)
+        assert bplus_components(c) == bplus_components_reference(c)

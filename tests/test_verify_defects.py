@@ -10,7 +10,7 @@ non-injective, must give in atoms, strings and arrows the failures, with
 their counts, that the per-element walks the rows replaced gave.  The
 atoms under each plant are the union-find's over the same s_i and f_n
 edges, whatever e_n holds.  conjugator-choice must also count what a
-case-by-case comparison of tilde_op gives, and the s_i plants fail
+case-by-case comparison of the tilde_op walk gives, and the s_i plants fail
 gamma-divisible or charge=gamma.  phi is eps plus the weight pairing, so
 a raised eps_1 must fail constant-z and string-sums, which compare eps
 across elements.  edge-labels counts each view's bad edges from the
@@ -37,13 +37,13 @@ from dataclasses import replace
 from itertools import permutations
 
 import pytest
-from test_kernel_references import atom_components_reference
+from test_kernel_references import atom_components_reference, conjugated_op, conjugating_permutation, tilde_op
 
 from crystalcharge import charge_kostka, verify
 from crystalcharge.affine_graph import STAGE_INFINITY, AffineCoroot, apply_affine_reflection
 from crystalcharge.atoms import decompose
-from crystalcharge.crystal import Crystal, conjugating_permutation, normalize_shape
-from crystalcharge.root_data import format_weight, positive_roots, reduced_word
+from crystalcharge.crystal import Crystal, normalize_shape
+from crystalcharge.root_data import format_weight, positive_roots
 from crystalcharge.verify import VerifyFailure, run_verify, sweep_shapes
 
 MAX_ELEMENTS = 2_000_000
@@ -67,25 +67,8 @@ def corrupt_table(monkeypatch, name, i, x, value):
     monkeypatch.setattr(Crystal, "generate", classmethod(corrupted))
 
 
-def conjugated_op(c, direction, x, u):
-    """u f_n u^{-1} (resp. e_n) along c.si, u^{-1} applied as u's reduced word read forward.
-
-    verify composes u^{-1} the same way; a reduced word of u^{-1} of its
-    own can differ from it, and then a corrupted s_i gives another image.
-    """
-    word = reduced_word(u)
-    for i in word:
-        x = c.si(i, x)
-    x = (c.f if direction == "f" else c.e)(c.rank, x)
-    if x is None:
-        return None
-    for i in reversed(word):
-        x = c.si(i, x)
-    return x
-
-
 def conjugator_choice_case_by_case(c):
-    """How many (root, conjugator, element, direction) cases tilde_op answers differently from the default."""
+    """How many (root, conjugator, element, direction) cases the tilde_op walk answers differently from the default."""
     n = c.rank
     bad = 0
     for beta in positive_roots(n):
@@ -95,7 +78,7 @@ def conjugator_choice_case_by_case(c):
                 continue
             for x in range(c.size):
                 for direction in ("f", "e"):
-                    bad += c.tilde_op(direction, beta, x) != conjugated_op(c, direction, x, u)
+                    bad += tilde_op(c, direction, beta, x) != conjugated_op(c, direction, x, u)
     return bad
 
 
@@ -212,18 +195,18 @@ def test_planted_defects_fail_the_row_families(monkeypatch, name, i, x, value, e
 
 
 def test_shifted_last_column_image_fails_commutation(monkeypatch):
-    """tilde_op's f image along every root (j, n), j < n, shifted by one id: the sum-root commutations ending at n see it."""
-    tilde_op = Crystal.tilde_op
+    """The tilde row of every root (j, n), j < n, shifted by one id: the sum-root commutations ending at n see it."""
+    tilde_rows = Crystal.tilde_rows.func
 
-    def shifted(c, direction, beta, x):
-        y = tilde_op(c, direction, beta, x)
-        if direction == "f" and beta[0] < beta[1] == c.rank and y is not None:
-            return (y + 1) % c.size
-        return y
+    def shifted(c):
+        return {
+            (j, k): [y if y is None or not j < k == c.rank else (y + 1) % c.size for y in row]
+            for (j, k), row in tilde_rows(c).items()
+        }
 
-    monkeypatch.setattr(Crystal, "tilde_op", shifted)
+    monkeypatch.setattr(Crystal, "tilde_rows", property(shifted))
     report = run_verify("strings", 3, 4)
-    assert Counter(f.check for f in report.failures if f.check == "commutation") == {"commutation": 6}
+    assert Counter(f.check for f in report.failures) == {"commutation": 6}
 
 
 def corrupt_first_reversible_edge(monkeypatch, corrupt, latest=False):
