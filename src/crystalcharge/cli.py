@@ -82,17 +82,19 @@ def _write_out(path: Path, text: str) -> None:
     Only regular files are replaced: a symlink is followed, and a device or
     pipe is written directly.  An OSError names path, not the temporary file.
     """
-    if path.exists() and not path.is_file():
-        path.write_text(text, encoding="utf-8")
-        return
+    direct = path.exists() and not path.is_file()
     target = path.resolve() if path.is_symlink() else path
     tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, target)
+        if direct:
+            path.write_text(text, encoding="utf-8")
+        else:
+            tmp.write_text(text, encoding="utf-8")
+            os.replace(tmp, target)
     except BaseException as exc:
         with contextlib.suppress(OSError):
-            tmp.unlink()
+            if not direct:
+                tmp.unlink()
         if isinstance(exc, OSError) and exc.errno is not None:
             raise OSError(exc.errno, exc.strerror, str(path)) from None
         raise

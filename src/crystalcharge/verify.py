@@ -23,7 +23,10 @@ One driver walks the sweep once: for each shape it runs every requested
 suite, in SUITES order, on one _Shape.  A suite that reads the shape's
 crystal or its decomposition builds it on first read, and the shapes
 of one run share the stage views of each interval and the wall tables
-of each I((k,0,...,0)).  Views and walls are read by vertex id.
+of each I((k,0,...,0)).  Views and walls are read by vertex id.  Each
+affine reflection t is an involution, t(t mu) = mu: so a wall table
+holds only its pairs (mu, t mu), and edge-labels counts an interval's
+edges once, for every stage view.
 
 The crystal is read by rows, indexed by element id, through its one
 conjugation routine.  A family that needs f_beta = w f_k w^{-1}, a root
@@ -41,7 +44,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate
 from math import factorial
 from operator import add, ne, sub
 from typing import Iterator, Sequence
@@ -135,7 +137,7 @@ class _Shape:
     """One sweep shape, as every suite reads it: the crystal and its decomposition are built on first read.
 
     `case` is the prefix of the shape's case texts.  `cache` holds the
-    stage views of each I(h), and `tables` the wall table of each
+    stage views of each I(h), and `tables` the wall pairs of each
     (I((k,0,...,0)), stage); the shapes of one run share both.
     """
 
@@ -163,48 +165,45 @@ class _Shape:
             self.cache[h] = stages + [interval.at(STAGE_INFINITY)]
         return self.cache[h]
 
-    def _wall_table(self, m: int) -> tuple[list[int], list[tuple[int, int]]]:
+    def _wall_table(self, m: int) -> list[tuple[int, int]]:
         """The wall of t = stage_reflection(m+1) over I((k,0,...,0)), by id, built once per run.
 
-        The ids mu with t mu Bruhat-lower (line order -1), and the pairs
-        (mu, t mu) with t mu higher (+1) and in the interval; t fixes the
-        other ids or takes them out (0).  Read from line_order and the
-        reflection alone, never from the edges.
+        The pairs (mu, t mu) with t mu Bruhat-higher (line order +1) and in
+        the interval, read from line_order and the reflection alone, never
+        from the edges.  t is an involution, t(t mu) = mu, and the interval
+        is closed below, so the ids with t mu lower are the pairs' second
+        ids; t fixes the other ids or takes them out.
         """
         if (self.top, m) not in self.tables:
             interval = self.views(self.top)[0].interval
             t = stage_reflection(m + 1, self.rank)
-            lower, upper = [], []
-            for i, mu in enumerate(interval.weights):
-                order = line_order(mu, t.root, t.shift(mu))
-                if order is LineOrder.LOWER:
-                    lower.append(i)
-                elif order is LineOrder.GREATER and (j := interval.ids.get(apply_affine_reflection(t, mu))) is not None:
-                    upper.append((i, j))
-            self.tables[self.top, m] = lower, upper
+            self.tables[self.top, m] = [
+                (i, j)
+                for i, mu in enumerate(interval.weights)
+                if line_order(mu, t.root, t.shift(mu)) is LineOrder.GREATER
+                and (j := interval.ids.get(apply_affine_reflection(t, mu))) is not None
+            ]
         return self.tables[self.top, m]
 
     def pairs(self, mask: Sequence[bool], m: int) -> list[tuple[int, int]]:
-        """The pairs (mu, t mu) of stage m's wall with both ids in the mask."""
-        return [(i, j) for i, j in self._wall_table(m)[1] if mask[i] and mask[j]]
+        """The pairs (mu, t mu) of stage m's wall inside an interval's mask, closed below: t mu in it puts mu in it."""
+        return [(i, j) for i, j in self._wall_table(m) if mask[j]]
 
     def walls(self, h: Weight) -> Iterator[tuple[TwistedGraph, TwistedGraph, list[int], list[tuple[int, int]]]]:
         """For each stage m < M of I(h): the views at m and m+1, and the wall between them, read by id.
 
         M is the stabilization stage.  The wall is stage m's table read
-        through I(h)'s mask: each id's predicted in-degree change when the
-        edges labeled t reverse (0 outside the mask), and the pairs
-        (mu, t mu) with mu below t mu, both in I(h).
+        through I(h)'s mask: the pairs (mu, t mu) with mu below t mu, both
+        in I(h), and each id's predicted in-degree change when the edges
+        labeled t reverse: +1 at mu, -1 at t mu, and 0 at every other id.
         """
         views = self.views(h)
         mask = views[-1].interval.mask
         for m in range(views[-1].interval.stabilization_stage):
             change = [0] * len(mask)
-            for i in self._wall_table(m)[0]:
-                change[i] = -1 if mask[i] else 0
             pairs = self.pairs(mask, m)
-            for i, _ in pairs:
-                change[i] = 1
+            for i, j in pairs:
+                change[i], change[j] = 1, -1
             yield views[m], views[m + 1], change, pairs
 
 
@@ -397,21 +396,15 @@ def check_strings(report: VerifyReport, shape: _Shape) -> None:
 # -- suite: arrows -------------------------------------------------------------
 
 
-def _bad_labels(interval: IntervalGraph) -> list[int]:
-    """For each stage 0..M, the edges whose label does not reflect head to tail.
+def _bad_labels(interval: IntervalGraph) -> int:
+    """The number of edges whose label does not take the head to the tail.
 
-    M is the stabilization stage, past which no edge turns.  Each edge is
-    reflected once per orientation: as at stage 0, and reversed when its
-    label is ever reversed, which holds from its reversal index on.
+    A label t is an involution, t(t mu) = mu, so it takes the head to the
+    tail exactly when it takes the tail to the head: the number is the
+    same at every stage, whichever way an edge points.
     """
     weights = interval.weights
-    changes = [0] * (interval.stabilization_stage + 1)
-    for src, dst, label, index in interval.edges:
-        bad = apply_affine_reflection(label, weights[dst]) != weights[src]
-        changes[0] += bad
-        if index is not None:
-            changes[index] += (apply_affine_reflection(label, weights[src]) != weights[dst]) - bad
-    return list(accumulate(changes))
+    return sum(apply_affine_reflection(label, weights[dst]) != weights[src] for src, dst, label, _ in interval.edges)
 
 
 def check_arrows(report: VerifyReport, shape: _Shape) -> None:
@@ -438,9 +431,8 @@ def check_arrows(report: VerifyReport, shape: _Shape) -> None:
         held,
     )
 
-    bad_labels = _bad_labels(interval)
-    # stage infinity turns the edges stage M turns
-    for g, bad in zip(views + [ginf], bad_labels + bad_labels[-1:]):
+    bad = _bad_labels(interval)
+    for g in views + [ginf]:
         report.tally("edge-labels", f"{base} stage {g.stage} edge labels reflect head to tail", bad)
 
     for g, g_next, change, _ in shape.walls(lam):

@@ -448,6 +448,12 @@ def test_out_follows_symlink_and_writes_pipes_directly(capsys, tmp_path):
     assert sorted(path.name for path in tmp_path.iterdir()) == ["fifo", "link.txt", "real.txt"]
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_direct_out_write_names_the_path(capsys):
+    argv = ("kostka", "--rank", "2", "--weight", "2,1,0", "--mu", "1,1,1", "--out", "/dev/full")
+    assert run_cli(capsys, *argv) == (2, "", "error: [Errno 28] No space left on device: '/dev/full'\n")
+
+
 def test_out_flag_writes_file(capsys, tmp_path):
     target = tmp_path / "out.txt"
     status, out, _ = run_cli(

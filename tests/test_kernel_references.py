@@ -572,6 +572,9 @@ def test_apply_affine_reflection_matches_reference():
         for mu in interval:
             for a in coroots(rank):
                 assert outcome(apply_affine_reflection, a, mu) == outcome(reflect_reference, a, mu)
+                # an involution where it fits: verify counts edge labels once and reads walls from their pairs
+                if a.root[1] <= rank:
+                    assert apply_affine_reflection(a, apply_affine_reflection(a, mu)) == mu
 
 
 def test_bruhat_leq_dominant_matches_reference():

@@ -1,4 +1,7 @@
-"""Every function, class and method is named in the package outside its own definition; test-only helpers live in tests."""
+"""Every function, class and method is named in the package outside its own definition; test-only helpers live in tests.
+
+Every module-level import of a module is named in that module; __init__.py re-exports, so it is exempt.
+"""
 
 import ast
 from collections import Counter
@@ -34,4 +37,18 @@ def test_every_definition_is_named_in_the_package():
         for node in definitions(tree)
         if used[node.name] == names(node)[node.name]
     ]
+    assert unused == []
+
+
+def test_every_import_is_named_in_its_module():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        used = names(tree)
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                bound = ((alias.asname or alias.name).split(".")[0] for alias in node.names)
+                unused += [f"{path.stem}.{name}" for name in bound if not used[name]]
     assert unused == []

@@ -13,10 +13,10 @@ edges, whatever e_n holds.  conjugator-choice must also count what a
 case-by-case comparison of the tilde_op walk gives, and the s_i plants fail
 gamma-divisible or charge=gamma.  phi is eps plus the weight pairing, so
 a raised eps_1 must fail constant-z and string-sums, which compare eps
-across elements.  edge-labels counts each view's bad edges from the
-interval's edges, reflecting each edge once per orientation; a graph
-with one corrupted label must fail that family in every view holding the
-edge, with the counts the views' own edge lists give.  The wall checks
+across elements.  edge-labels counts the interval's bad edges once,
+since a label is an involution, and records the count for every view; a
+graph with one corrupted label must fail that family in every view
+holding the edge, with the counts the views' own edge lists give.  The wall checks
 read one pass over each stage view; a graph whose first reversible edge
 turns one stage late must fail the arrows update rule and swapping's
 three-case delta and recharge drop as often as the per-vertex walk they
