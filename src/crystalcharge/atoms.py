@@ -127,7 +127,7 @@ def decompose(crystal: Crystal) -> AtomDecomposition:
     atom, at its highest-weight element.
     """
     n, weights = crystal.rank, crystal.weights
-    rows = [crystal.si_row(i) for i in range(1, n + 1)] + [crystal._f[n - 1]]
+    rows = [crystal.weyl_row((i,)) for i in range(1, n + 1)] + [crystal._f[n - 1]]
     atoms = []
     for members in map(sorted, _components(crystal.size, rows)):
         # each distinct weight once, with its least member, in the order of those members

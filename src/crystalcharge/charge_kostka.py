@@ -326,7 +326,7 @@ def llt_gamma_raw(crystal: Crystal) -> tuple[int, ...]:
     for k in range(1, crystal.rank + 1):
         cosets = [sums]
         for j in range(k, 0, -1):
-            cosets.append(list(map(cosets[-1].__getitem__, crystal.si_row(j))))
+            cosets.append(list(map(cosets[-1].__getitem__, crystal.weyl_row((j,)))))
         sums = list(map(sum, zip(*cosets)))
     return tuple(sums)
 
@@ -422,19 +422,15 @@ class SwappingError(RuntimeError):
     """The raising-operator power vanished where the theory forbids it."""
 
 
-def swapping_map(
-    crystal: Crystal,
-    decomposition: AtomDecomposition,
-    m: int,
-    mu: Weight,
-    x: int,
-) -> int:
+def swapping_map(crystal: Crystal, decomposition: AtomDecomposition, m: int, mu: Weight, x: int) -> int:
     """The wall-crossing injection for stage m at weight mu.
 
     With c*delta - beta^v the (m+1)-th reversal coroot and t its
     reflection, maps the weight-t(mu) element x to
     e_beta^(<mu,beta^v> + c)(x): the image has weight mu, stays in the
-    atom of x, and drops the stage-(m+1) recharge by exactly one.
+    atom of x, and drops the stage-(m+1) recharge by exactly one.  The
+    power is u e_n^p u^{-1}, u = s_j ... s_(n-1) for beta = a_{j,n}, with
+    u^{-1} and u read as rows (Crystal.weyl_row).
     """
     coroot = stage_reflection(m + 1, crystal.rank)
     mu = tuple(mu)
@@ -446,15 +442,15 @@ def swapping_map(
         raise ValueError(f"element {x} has weight {crystal.weight(x)}, expected {tmu}")
     atom = decomposition.atom_of(x)
     if not bruhat_leq_dominant(tmu, atom.highest_weight):
-        raise ValueError(
-            f"{tmu} is not below the atom highest weight {atom.highest_weight}"
-        )
-    image = crystal.root_op_power("e", coroot.root, x, power)
-    if image is None:
-        raise SwappingError(
-            f"raising power {power} along {coroot.root} vanished on element {x}"
-        )
-    return image
+        raise ValueError(f"{tmu} is not below the atom highest weight {atom.highest_weight}")
+    j, n = coroot.root
+    word = tuple(range(j, n))
+    y: Optional[int] = crystal.weyl_row(word[::-1])[x]
+    for _ in range(power):
+        y = crystal.e(n, y)
+        if y is None:
+            raise SwappingError(f"raising power {power} along {coroot.root} vanished on element {x}")
+    return crystal.weyl_row(word)[y]
 
 
 # -- atomic Hecke expansion ------------------------------------------------------

@@ -21,14 +21,15 @@ along e_i.
 
 On top of the simple operators the module provides the Weyl group
 action (s_i reverses each i-string) and one conjugation routine, by
-rows indexed by id.  weyl_row composes the s_i rows into the crystal
-permutation of a word, memoised per crystal, and conjugate gathers the
-f_k or e_k row between u^{-1} and u; u^{-1} applies the word's first
-letter first, and no permutation is inverted.  So f_a = w f_k w^{-1}
-with w = s_j ... s_{k-1} for a = a_{j,k} is one conjugated row, and
-tilde_rows holds f_n conjugated by the order-preserving u with
-u(a_n) = a for every positive root a (every such u gives the same
-operator).
+rows indexed by id.  weyl_row, the one reader of the Weyl action,
+composes the s_i rows into the crystal permutation of a word, in a memo
+per crystal that starts with the s_i rows and grows by a loop, not a
+recursion.  conjugate gathers the f_k or e_k row between u^{-1} and u;
+u^{-1} applies the word's first letter first, and no permutation is
+inverted.  So f_a = w f_k w^{-1} with w = s_j ... s_{k-1} for
+a = a_{j,k} is one conjugated row, and tilde_rows holds f_n conjugated
+by the order-preserving u with u(a_n) = a for every positive root a
+(every such u gives the same operator).
 
 Generating a crystal enumerates its tableaux and computes their
 weights, the elements of each weight, the highest element and the f_i,
@@ -298,53 +299,28 @@ class Crystal:
     def elements_of_weight(self, mu: Weight) -> tuple[int, ...]:
         return self._by_weight.get(tuple(mu), ())
 
-    # -- Weyl action ----------------------------------------------------
+    # -- Weyl action and conjugation by words in the s_i ---------------------
 
     def si(self, i: int, x: int) -> int:
         """The simple reflection s_i, reversing the i-string through x."""
         return self._si[i - 1][x]
 
-    def si_row(self, i: int) -> tuple[int, ...]:
-        """s_i of every element, indexed by id."""
-        return self._si[i - 1]
-
-    # -- modified operators f_a = w f_k w^{-1} ---------------------------
-
-    def root_op_power(self, direction: str, beta: Root, x: int, power: int) -> Optional[int]:
-        """Apply f_beta or e_beta `power` times; None as soon as it vanishes.
-
-        Conjugation collapses: (w f_k w^{-1})^m = w f_k^m w^{-1}.
-        """
-        if direction not in ("f", "e"):
-            raise ValueError(f"unknown operator direction {direction!r}")
-        j, k = beta
-        y: Optional[int] = x
-        for i in range(j, k):
-            y = self._si[i - 1][y]
-        table = self._f[k - 1] if direction == "f" else self._e[k - 1]
-        for _ in range(power):
-            y = table[y]
-            if y is None:
-                return None
-        for i in range(k - 1, j - 1, -1):
-            y = self._si[i - 1][y]
-        return y
-
-    # -- conjugation by words in the s_i ------------------------------------
-
     @cached_property
     def _weyl_rows(self) -> dict[tuple[int, ...], tuple[int, ...]]:
-        return {(): tuple(range(self.size))}
+        return {(): tuple(range(self.size)), **{(i,): row for i, row in enumerate(self._si, start=1)}}
 
     def weyl_row(self, word: tuple[int, ...]) -> tuple[int, ...]:
         """The crystal permutation of s_(i_1) ... s_(i_r) for word = (i_1, ..., i_r), indexed by id.
 
-        Each row is the s_(i_1) row read at the row of the rest of the
-        word, kept per crystal, so words sharing a suffix compose it once.
+        The memo per crystal starts with the identity and the s_i rows.  A
+        missing row is gathered letter by letter from the longest kept
+        suffix, each suffix kept, so words sharing a suffix compose it once.
         """
         rows = self._weyl_rows
         if word not in rows:
-            rows[word] = tuple(map(self._si[word[0] - 1].__getitem__, self.weyl_row(word[1:])))
+            start = next(t for t in range(1, len(word) + 1) if word[t:] in rows)
+            for t in range(start - 1, -1, -1):
+                rows[word[t:]] = tuple(map(self._si[word[t] - 1].__getitem__, rows[word[t + 1 :]]))
         return rows[word]
 
     def conjugate(self, direction: str, k: int, word: tuple[int, ...]) -> list[Optional[int]]:

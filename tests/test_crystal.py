@@ -148,8 +148,6 @@ def test_rank_zero_is_rejected(call):
 def test_op_rejects_unknown_direction(c20):
     with pytest.raises(ValueError):
         c20.conjugate("g", 1, ())
-    with pytest.raises(ValueError):
-        c20.root_op_power("g", (1, 1), 0, 1)
 
 
 def test_empty_shape():
@@ -350,13 +348,17 @@ def test_root_string_stats(c210):
 
 
 def test_root_string_stats_count_actual_powers(c210):
-    for beta in positive_roots(2):
+    """Powers of a conjugated row, (w e_k w^{-1})^m = w e_k^m w^{-1}, last exactly as long as the string."""
+    for j, k in positive_roots(2):
+        rows = {direction: c210.conjugate(direction, k, tuple(range(j, k))) for direction in ("e", "f")}
         for x in range(c210.size):
-            stats = root_string_stats_reference(c210, beta, x)
-            assert c210.root_op_power("e", beta, x, stats.eps) is not None
-            assert c210.root_op_power("e", beta, x, stats.eps + 1) is None
-            assert c210.root_op_power("f", beta, x, stats.phi) is not None
-            assert c210.root_op_power("f", beta, x, stats.phi + 1) is None
+            stats = root_string_stats_reference(c210, (j, k), x)
+            for direction, length in (("e", stats.eps), ("f", stats.phi)):
+                y = x
+                for _ in range(length):
+                    y = rows[direction][y]
+                    assert y is not None
+                assert rows[direction][y] is None
 
 
 def test_reflection_stays_on_string(c210):

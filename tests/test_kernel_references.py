@@ -36,7 +36,14 @@ root_string_stats_reference, one walk per element, which were
 Crystal.root_op and Crystal.root_string_stats, and tilde_op_reference.
 All are compared on every element of the crystals of size <= 6 at ranks
 1-4, and bplus_components, which reads the tilde rows, against the
-union-find over tilde_op, one element at a time.
+union-find over tilde_op, one element at a time.  swapping_map reads
+its power e_beta^p = u e_n^p u^{-1} through the same rows;
+root_op_power_reference, which was Crystal.root_op_power, walks u^{-1},
+the p steps and u per element.  They are compared on every wall pair
+of those crystals, and the row form on every root (j, n), element and
+power up to the string length plus one.  weyl_row builds a long word
+by a loop, without recursion: on B(1) at rank 1100 a 1,099-letter word
+must equal the per-element walk.
 
 weyl_dimension collapses Weyl's pairwise product over blocks of equal
 parts into binomials; the reference is the pairwise product in exact
@@ -109,7 +116,14 @@ from crystalcharge.affine_graph import (
     stage_reflection,
 )
 from crystalcharge.atoms import atomic_number, bplus_components, decompose
-from crystalcharge.charge_kostka import HalfLaurentPolynomial, charge, kostka, llt_gamma_raw, word_eps_sum
+from crystalcharge.charge_kostka import (
+    HalfLaurentPolynomial,
+    charge,
+    kostka,
+    llt_gamma_raw,
+    swapping_map,
+    word_eps_sum,
+)
 from crystalcharge.crystal import (
     Crystal,
     conjugators,
@@ -186,6 +200,25 @@ def root_op_reference(c, direction, beta, x):
     for i in range(k - 1, j - 1, -1):
         x = c.si(i, x)
     return x
+
+
+def root_op_power_reference(c, direction, beta, x, power):
+    """Apply f_beta or e_beta `power` times; None as soon as it vanishes.
+
+    Conjugation collapses: (w f_k w^{-1})^m = w f_k^m w^{-1}.
+    """
+    j, k = beta
+    y = x
+    for i in range(j, k):
+        y = c.si(i, y)
+    op = c.f if direction == "f" else c.e
+    for _ in range(power):
+        y = op(k, y)
+        if y is None:
+            return None
+    for i in range(k - 1, j - 1, -1):
+        y = c.si(i, y)
+    return y
 
 
 def root_string_stats_reference(c, beta, x):
@@ -384,7 +417,7 @@ def llt_gamma_walk_reference(c, x):
     for k in range(1, c.rank + 1):
         coset = orbit
         for i in range(k, 0, -1):
-            coset = list(map(c.si_row(i).__getitem__, coset))
+            coset = [c.si(i, y) for y in coset]
             orbit += coset
     return sum(map(c.gamma_summands.__getitem__, orbit))
 
@@ -838,3 +871,50 @@ def test_verify_rows_match_per_element_walks():
             assert c.tilde_rows[beta] == [tilde_op(c, "f", beta, x) for x in range(c.size)]
         assert tuple(c.tilde_rows) == positive_roots(n)
         assert bplus_components(c) == bplus_components_reference(c)
+
+
+def test_swapping_map_matches_power_walk_on_every_wall_pair():
+    views, tables = {}, {}
+    pairs = 0
+    for c in small_crystals():
+        shape = _Shape(c.shape, c.rank, 1000, views, tables)
+        dec = shape.decomposition
+        for atom in dec.atoms:
+            element_at = {c.weight(x): x for x in atom.element_ids}
+            for g, _, _, wall in shape.walls(atom.highest_weight):
+                t = stage_reflection(g.stage + 1, c.rank)
+                weights = g.interval.weights
+                for i, j in wall:
+                    mu, x = weights[i], element_at[weights[j]]
+                    want = root_op_power_reference(c, "e", t.root, x, t.shift(mu))
+                    assert want is not None
+                    assert swapping_map(c, dec, g.stage, mu, x) == want
+                    pairs += 1
+    assert pairs > 1000
+
+
+def test_root_op_power_rows_match_walk():
+    """u^{-1} as a row, p steps of e_n or f_n, u as a row: the walk for every root (j, n), element and power."""
+    for c in small_crystals():
+        n = c.rank
+        for j in range(1, n + 1):
+            word = tuple(range(j, n))
+            back = c.weyl_row(word)
+            for x, y in enumerate(c.weyl_row(word[::-1])):
+                length = c.eps(n, y) + c.phi(n, y)
+                for direction in ("f", "e"):
+                    op, z = (c.f if direction == "f" else c.e), y
+                    for power in range(length + 2):
+                        want = root_op_power_reference(c, direction, (j, n), x, power)
+                        assert (None if z is None else back[z]) == want
+                        z = None if z is None else op(n, z)
+
+
+def test_weyl_row_of_a_long_word_matches_walk():
+    c = Crystal.generate((1,), 1100)
+    word = tuple(range(1099, 0, -1))
+    want = list(range(c.size))
+    for i in reversed(word):
+        want = [c.si(i, x) for x in want]
+    assert list(c.weyl_row(word)) == want
+    assert c.weyl_row((1,)) is c._si[0]
